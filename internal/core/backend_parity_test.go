@@ -8,6 +8,7 @@ import (
 	"liferaft/internal/bucket"
 	"liferaft/internal/disk"
 	"liferaft/internal/segment"
+	"liferaft/internal/shard"
 	"liferaft/internal/simclock"
 )
 
@@ -93,6 +94,55 @@ func TestBackendParity(t *testing.T) {
 		})
 	}
 	t.Run("sharded", func(t *testing.T) { shardedParity(t, part, dir, hotJobs) })
+	t.Run("one-shard", func(t *testing.T) { oneShardFile(t, part, dir, hotJobs) })
+}
+
+// oneShardFile: a one-shard file-backed engine forks nothing — its shard
+// runs on the caller's own store, disk and clock, so it opens no second
+// segment set, the caller's disk statistics see the run, and releasing
+// the shard leaves the caller's store open.
+func oneShardFile(t *testing.T, part *bucket.Partition, dir string, hotJobs []Job) {
+	set, err := segment.OpenSet(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+	d := disk.New(parityModel(), simclock.Real{})
+	cfg := Config{
+		Store: bucket.NewStore(part, d, false).WithBackend(segment.NewBackend(set, false)),
+		Disk:  d, Clock: simclock.Real{},
+		Alpha: 0.5, CacheBuckets: 20, Shards: 1,
+		Backend: BackendFile, DataDir: dir,
+	}
+	m, err := shard.NewMap(part, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shardCfgs, release, err := forkConfigs(cfg, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release()
+	if sc := shardCfgs[0]; sc.Store != cfg.Store || sc.Disk != cfg.Disk || sc.Clock != cfg.Clock {
+		t.Fatal("one-shard config forked its store, disk or clock")
+	}
+
+	offsets := make([]time.Duration, len(hotJobs))
+	// The second run reads the same store: it would fail if the first
+	// had closed the caller's segment set.
+	for run := 0; run < 2; run++ {
+		before := d.Stats().SeqReads
+		_, stats, err := Run(cfg, hotJobs, offsets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.PerShard != nil {
+			t.Fatalf("run %d: one-shard run has a PerShard breakdown", run)
+		}
+		if got := d.Stats().SeqReads - before; got == 0 || stats.Disk.SeqReads != d.Stats().SeqReads {
+			t.Fatalf("run %d: caller's disk saw %d reads, run stats %d", run, got, stats.Disk.SeqReads)
+		}
+	}
 }
 
 // mkSimParity builds the simulated-backend engine on a virtual clock.

@@ -93,33 +93,33 @@ type Config struct {
 	// DataDir is the segment directory backing BackendFile.
 	DataDir string
 
-	// Shards runs the engine as K independent disk/worker shards: the
-	// bucket space is partitioned across shards (ShardPartitioner), each
-	// shard gets its own forked disk, bucket cache, and workload queues,
-	// and a worker services each shard's local aged-workload-throughput
-	// schedule concurrently. A query's completion is the completion of
-	// its last shard. 0 or 1 preserves the single-disk engine exactly.
-	// Config.Disk serves as the cost-model template; each shard forks
-	// its own disk from it. Each shard's cache holds CacheBuckets
-	// buckets (scaling out adds memory along with arms).
+	// Shards is the number of disk/worker shards the bucket space is
+	// partitioned across (ShardPartitioner). Every shard has its own disk,
+	// bucket cache, and workload queues, and a worker services each
+	// shard's local aged-workload-throughput schedule concurrently. A
+	// query's completion is the completion of its last shard. 0 or 1
+	// means one shard owning every bucket on the config's own clock, disk
+	// and store: the single-disk engine exactly. With more, Config.Disk
+	// serves as the cost-model template and each shard forks its own disk
+	// and store from it. Each shard's cache holds CacheBuckets buckets
+	// (scaling out adds memory along with arms).
 	Shards int
-	// ShardPartitioner assigns buckets to shards when Shards > 1; nil
-	// means shard.ByRange (contiguous, balanced bucket counts).
+	// ShardPartitioner assigns buckets to shards; nil means shard.ByRange
+	// (contiguous, balanced bucket counts).
 	ShardPartitioner shard.Partitioner
 	// ownsBucket, when non-nil, restricts admission to the buckets a
-	// shard owns. Set only by the sharded engine on its per-shard
-	// configs; external callers cannot (and must not) set it.
+	// shard owns. Set only by forkConfigs on the configs of a
+	// several-shard engine; external callers cannot (and must not) set it.
 	ownsBucket func(int) bool
 
 	// Metrics, when non-nil, instruments the engine: pick latency,
 	// service strategy, cache hit/miss, completions, and store read
 	// latency are recorded per shard (internal/metric handles, resolved
-	// once at construction; nil costs nothing on the hot path). The
-	// sharded engine passes the same EngineMetrics to every shard with
-	// the shard's own index.
+	// once at construction; nil costs nothing on the hot path). Every
+	// shard gets the same EngineMetrics with the shard's own index.
 	Metrics *EngineMetrics
 	// shardIndex is the shard label the engine reports metrics under.
-	// Set by forkConfigs; 0 for the single-disk engine.
+	// Set by forkConfigs; 0 for a one-shard engine.
 	shardIndex int
 
 	// AgeDepreciationGamma enables the §6 QoS extension: the age of a
@@ -175,6 +175,9 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Shards < 0 {
 		return c, fmt.Errorf("core: negative Shards")
+	}
+	if c.Shards == 0 {
+		c.Shards = 1
 	}
 	if c.PrefetchDepth < 0 {
 		return c, fmt.Errorf("core: negative PrefetchDepth")
@@ -255,15 +258,16 @@ type RunStats struct {
 	SpilledObjects int64
 	SpillFetches   int64
 	// Cancelled counts queries withdrawn before completion (merged across
-	// shards by the sharded Live engine, so a query cancelled on several
-	// shards counts once). CancelledObjects counts the workload objects
+	// shards by Live, so a query cancelled on several shards counts
+	// once). CancelledObjects counts the workload objects
 	// dropped from the queues by those cancellations.
 	Cancelled        int
 	CancelledObjects int64
-	// PerShard breaks a sharded run down by shard (nil for the
-	// single-disk engine). The aggregate fields above are the merged
-	// view: counters sum across shards and Makespan is the latest shard
-	// finish, so Throughput reflects the parallel wall clock.
+	// PerShard breaks a run on several shards down by shard; it is nil
+	// when one shard owns every bucket (Config.Shards 0 or 1). The
+	// aggregate fields above are the merged view: counters sum across
+	// shards and Makespan is the latest shard finish, so Throughput
+	// reflects the parallel wall clock.
 	PerShard []ShardStats
 }
 

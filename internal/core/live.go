@@ -4,55 +4,96 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 
 	"liferaft/internal/shard"
 	"liferaft/internal/simclock"
 )
 
 // Live runs the LifeRaft scheduler as a long-lived service: queries are
-// submitted concurrently and results delivered on per-query channels. The
-// scheduling loop owns the workload manager exclusively and services one
-// bucket at a time, exactly as the paper's architecture prescribes
+// submitted concurrently and results delivered on per-query channels.
+// Each shard's engine owns its workload manager exclusively and services
+// one bucket at a time, exactly as the paper's architecture prescribes
 // ("buckets are read from disk by scheduler one at a time", §3); Submit
 // never blocks on in-progress bucket services.
+//
+// Live is a front end over one engine per shard (Config.Shards; 0 or 1
+// means a single engine on the config's own clock, disk and store).
+// Submit fans the query's workload objects out to the engines owning the
+// buckets they overlap, and the result channel delivers the merged Result
+// when the last engine finishes. Cancel and SetAlpha broadcast to every
+// engine.
 //
 // Live is the deployment form a federation node uses (see the federation
 // package); experiments use Run instead, which replays a trace against a
 // virtual clock.
-//
-// With Config.Shards > 1, Live runs one inner engine per shard: Submit
-// fans the query's workload objects out to the shards owning the buckets
-// they overlap and the result channel delivers the merged Result when the
-// last shard finishes. SetAlpha broadcasts to every shard.
 type Live struct {
-	inbox   chan submission
-	closing chan struct{}
-	done    chan struct{}
 	clock   simclock.Clock
-
-	// Sharded mode (Config.Shards > 1): inner engines and the fan-out
-	// machinery; nil in single-disk mode. shardCfgs holds the forked
-	// per-shard configs so Close can release their forked stores.
-	inner     []*Live
-	smap      *shard.Map
-	shardCfgs []Config
-	mergeWG   sync.WaitGroup
+	smap    *shard.Map
+	engines []*engine
+	// release closes the stores forkConfigs opened for the engines.
+	release   func()
 	closeOnce sync.Once
+	completed atomic.Int64 // merged queries delivered
+	cancelled atomic.Int64 // merged queries cancelled
 
-	mu        sync.Mutex
-	closed    bool
-	completed int // sharded mode: merged queries delivered
-	cancelled int // sharded mode: merged queries cancelled
-
-	// Err reports a scheduler construction failure; checked by callers
-	// of NewLive via the returned error instead.
+	mu      sync.Mutex
+	closed  bool
 	stats   RunStats
 	statsOK bool
 }
 
+// engine is one shard's scheduling loop and its inbox. Live sends to the
+// inbox only under Live.mu while open, and closes the engine only after
+// marking itself closed, so the engine needs no lock of its own.
+type engine struct {
+	inbox   chan submission
+	closing chan struct{}
+	done    chan struct{}
+	clock   simclock.Clock
+	// stats is written by the loop before done closes.
+	stats RunStats
+}
+
+// fanIn gathers one query's per-shard results. Each engine stores its
+// part; the engine delivering the last part merges them in shard order
+// and completes the query, so no goroutine waits on a fan-out.
+type fanIn struct {
+	live      *Live
+	ch        chan Result
+	parts     []Result
+	remaining atomic.Int32
+}
+
+// deliver stores part i's result and, once every part is in, delivers
+// the merged Result.
+func (f *fanIn) deliver(i int, r Result) {
+	f.parts[i] = r
+	if f.remaining.Add(-1) > 0 {
+		return
+	}
+	merged := f.parts[0]
+	for _, p := range f.parts[1:] {
+		merged.absorb(p)
+	}
+	if merged.Cancelled {
+		f.live.cancelled.Add(1)
+	} else {
+		f.live.completed.Add(1)
+	}
+	f.ch <- merged
+	close(f.ch)
+}
+
+// waiter is an engine's handle on the query part it is servicing.
+type waiter struct {
+	fan  *fanIn
+	part int
+}
+
 type submission struct {
 	job Job
-	ch  chan Result
+	waiter
 	// setAlpha, when non-nil, is a control message instead of a query:
 	// the scheduling loop updates its age bias (the §4 adaptive knob).
 	setAlpha *float64
@@ -70,28 +111,8 @@ func (l *Live) Clock() simclock.Clock { return l.clock }
 var ErrClosed = errors.New("core: live engine closed")
 
 // NewLive starts a live engine. The returned engine must be Closed to
-// release its scheduling goroutine(s).
+// release its scheduling goroutines.
 func NewLive(cfg Config) (*Live, error) {
-	if cfg.Shards > 1 {
-		return newShardedLive(cfg)
-	}
-	s, err := newScheduler(cfg)
-	if err != nil {
-		return nil, err
-	}
-	l := &Live{
-		inbox:   make(chan submission, 1024),
-		closing: make(chan struct{}),
-		done:    make(chan struct{}),
-		clock:   cfg.Clock,
-	}
-	go l.loop(cfg, s)
-	return l, nil
-}
-
-// newShardedLive starts one inner single-shard engine per shard plus the
-// fan-out front end.
-func newShardedLive(cfg Config) (*Live, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -100,35 +121,65 @@ func newShardedLive(cfg Config) (*Live, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &Live{
-		done:  make(chan struct{}),
-		clock: cfg.Clock,
-		smap:  m,
-	}
-	shardCfgs, err := forkConfigs(cfg, m)
+	shardCfgs, release, err := forkConfigs(cfg, m)
 	if err != nil {
 		return nil, err
 	}
-	l.shardCfgs = shardCfgs
+	l := &Live{clock: cfg.Clock, smap: m, release: release}
 	for _, sc := range shardCfgs {
-		in, err := NewLive(sc)
+		e, err := startEngine(sc)
 		if err != nil {
-			for _, started := range l.inner {
-				started.Close()
+			for _, started := range l.engines {
+				started.close()
 			}
-			closeForked(shardCfgs)
+			release()
 			return nil, err
 		}
-		l.inner = append(l.inner, in)
+		l.engines = append(l.engines, e)
 	}
 	return l, nil
 }
 
+// startEngine starts one shard's scheduling loop.
+func startEngine(cfg Config) (*engine, error) {
+	s, err := newScheduler(cfg)
+	if err != nil {
+		return nil, err
+	}
+	e := &engine{
+		inbox:   make(chan submission, 1024),
+		closing: make(chan struct{}),
+		done:    make(chan struct{}),
+		clock:   cfg.Clock,
+	}
+	go e.loop(cfg, s)
+	return e, nil
+}
+
+// close drains the engine's queued work and waits for its loop to exit.
+func (e *engine) close() {
+	close(e.closing)
+	<-e.done
+}
+
 // Submit enqueues a query. The returned channel delivers exactly one
-// Result when the query completes, then closes.
+// Result when the query completes, then closes: the merge of its
+// engines' results, with assignments and matches summed and pairs
+// concatenated in shard order.
 func (l *Live) Submit(job Job) (<-chan Result, error) {
-	if l.inner != nil {
-		return l.submitSharded(job)
+	// Keep the parent clock tracking the furthest shard clock: on a
+	// virtual clock, observers of Clock() — the Adaptive saturation
+	// estimator, empty-fan-out completion stamps — would otherwise see
+	// time frozen at the engine start until Close.
+	for _, e := range l.engines {
+		simclock.Join(l.clock, e.clock.Now())
+	}
+	fan := l.smap.Fanout(job.Objects)
+	width := 0
+	for _, objs := range fan {
+		if len(objs) > 0 {
+			width++
+		}
 	}
 	l.mu.Lock()
 	if l.closed {
@@ -136,8 +187,29 @@ func (l *Live) Submit(job Job) (<-chan Result, error) {
 		return nil, ErrClosed
 	}
 	ch := make(chan Result, 1)
-	//lifevet:allow lockdiscipline -- the send deliberately happens inside l.mu: the closed check and the enqueue must be one atomic step against Close, and the loop drains the inbox until closing, so the send bounds in one step latency
-	l.inbox <- submission{job: job, ch: ch}
+	if width == 0 {
+		// No bucket overlaps anywhere: complete immediately.
+		now := l.clock.Now()
+		ch <- Result{QueryID: job.ID, Arrived: now, Completed: now}
+		close(ch)
+		l.completed.Add(1)
+		l.mu.Unlock()
+		return ch, nil
+	}
+	f := &fanIn{live: l, ch: ch, parts: make([]Result, width)}
+	f.remaining.Store(int32(width))
+	part := 0
+	for s, objs := range fan {
+		if len(objs) == 0 {
+			continue
+		}
+		//lifevet:allow lockdiscipline -- each inbox send bounds in one shard step; the lock must span the fan-out so the closed check and every shard's enqueue are one atomic step against Close
+		l.engines[s].inbox <- submission{
+			job:    Job{ID: job.ID, Objects: objs, Pred: job.Pred, Trace: job.Trace},
+			waiter: waiter{fan: f, part: part},
+		}
+		part++
+	}
 	l.mu.Unlock()
 	return ch, nil
 }
@@ -179,100 +251,11 @@ func (l *Live) SubmitCtx(ctx context.Context, job Job) (<-chan Result, error) {
 // Cancel withdraws an in-flight query by ID: its remaining workload
 // objects are dropped from the queues and its result channel delivers a
 // Result with Cancelled set. Cancelling an unknown or already completed
-// query is a no-op. On a sharded engine the cancel is broadcast to every
-// shard; shards that already finished their part ignore it, and the merged
-// result is marked Cancelled if any shard cancelled.
+// query is a no-op. The cancel is broadcast to every shard; shards that
+// already finished their part ignore it, and the merged result is marked
+// Cancelled if any shard cancelled.
 func (l *Live) Cancel(id uint64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if l.inner != nil {
-		for _, in := range l.inner {
-			//lifevet:allow lockdiscipline -- the shard's own inbox send bounds in one shard step; the parent lock must span the broadcast so a concurrent Close cannot interleave
-			if err := in.Cancel(id); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	qid := id
-	//lifevet:allow lockdiscipline -- same atomic closed-check-and-enqueue pattern as Submit: the loop drains the inbox until closing
-	l.inbox <- submission{cancel: &qid}
-	return nil
-}
-
-// submitSharded fans the job out to the shards owning its buckets and
-// merges their results: the delivered Result completes when the last
-// shard does, with assignments and matches summed and pairs concatenated
-// in shard order.
-func (l *Live) submitSharded(job Job) (<-chan Result, error) {
-	// Keep the parent clock tracking the furthest shard clock: on a
-	// virtual clock, observers of Clock() — the Adaptive saturation
-	// estimator, empty-fan-out completion stamps — would otherwise see
-	// time frozen at the engine start until Close.
-	for _, in := range l.inner {
-		simclock.Join(l.clock, in.Clock().Now())
-	}
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return nil, ErrClosed
-	}
-	ch := make(chan Result, 1)
-	fan := l.smap.Fanout(job.Objects)
-	var subs []<-chan Result
-	for s, objs := range fan {
-		if len(objs) == 0 {
-			continue
-		}
-		//lifevet:allow lockdiscipline -- each shard Submit bounds in one shard step; the parent lock must span the fan-out so all shards see the submission before a concurrent Close
-		c, err := l.inner[s].Submit(Job{ID: job.ID, Objects: objs, Pred: job.Pred, Trace: job.Trace})
-		if err != nil {
-			l.mu.Unlock()
-			return nil, err
-		}
-		subs = append(subs, c)
-	}
-	if len(subs) == 0 {
-		// No bucket overlaps anywhere: complete immediately, as the
-		// single-disk engine does.
-		now := l.clock.Now()
-		ch <- Result{QueryID: job.ID, Arrived: now, Completed: now}
-		close(ch)
-		l.completed++
-		l.mu.Unlock()
-		return ch, nil
-	}
-	l.mergeWG.Add(1)
-	l.mu.Unlock()
-	go func() {
-		defer l.mergeWG.Done()
-		var merged Result
-		first := true
-		for _, c := range subs {
-			r, ok := <-c
-			if !ok {
-				continue
-			}
-			if first {
-				merged, first = r, false
-				continue
-			}
-			merged.absorb(r)
-		}
-		ch <- merged
-		close(ch)
-		l.mu.Lock()
-		if merged.Cancelled {
-			l.cancelled++
-		} else {
-			l.completed++
-		}
-		l.mu.Unlock()
-	}()
-	return ch, nil
+	return l.broadcast(submission{cancel: &id})
 }
 
 // SetAlpha changes the engine's age bias for all subsequent scheduling
@@ -286,70 +269,51 @@ func (l *Live) SetAlpha(alpha float64) error {
 	if alpha > 1 {
 		alpha = 1
 	}
+	return l.broadcast(submission{setAlpha: &alpha})
+}
+
+// broadcast sends a control message to every engine.
+func (l *Live) broadcast(sub submission) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
 	}
-	if l.inner != nil {
-		for _, in := range l.inner {
-			//lifevet:allow lockdiscipline -- the shard's inbox send bounds in one shard step; the parent lock spans the broadcast so every shard sees the same α ordering
-			if err := in.SetAlpha(alpha); err != nil {
-				return err
-			}
-		}
-		return nil
+	for _, e := range l.engines {
+		//lifevet:allow lockdiscipline -- the shard's inbox send bounds in one shard step; the parent lock spans the broadcast so a concurrent Close cannot interleave and every shard sees the same control ordering
+		e.inbox <- sub
 	}
-	//lifevet:allow lockdiscipline -- same atomic closed-check-and-enqueue pattern as Submit
-	l.inbox <- submission{setAlpha: &alpha}
 	return nil
 }
 
 // Close stops accepting queries, waits for all submitted queries to
-// complete, and shuts the scheduling loop down. It is idempotent.
+// complete, and shuts the engines down. It is idempotent.
 func (l *Live) Close() error {
-	if l.inner != nil {
-		return l.closeSharded()
-	}
-	l.mu.Lock()
-	if !l.closed {
-		l.closed = true
-		close(l.closing)
-	}
-	l.mu.Unlock()
-	<-l.done
-	return nil
-}
-
-// closeSharded drains every inner engine, waits for in-flight merges, and
-// snapshots the merged statistics.
-func (l *Live) closeSharded() error {
 	l.mu.Lock()
 	l.closed = true
 	l.mu.Unlock()
 	l.closeOnce.Do(func() {
-		for _, in := range l.inner {
-			in.Close()
+		// Engines deliver every part before their loops exit, so every
+		// merged result is out once they are closed.
+		for _, e := range l.engines {
+			e.close()
 		}
-		l.mergeWG.Wait()
 		stats := mergeShardStats(l.smap, func(s int) (RunStats, int) {
-			st, _ := l.inner[s].Stats()
+			st := l.engines[s].stats
 			return st, st.Completed
 		})
+		// On a virtual parent clock, adopt the latest shard clock.
+		for _, e := range l.engines {
+			simclock.Join(l.clock, e.clock.Now())
+		}
+		l.release()
+		stats.Completed = int(l.completed.Load())
+		stats.Cancelled = int(l.cancelled.Load())
 		l.mu.Lock()
-		stats.Completed = l.completed
-		stats.Cancelled = l.cancelled
 		l.stats = stats
 		l.statsOK = true
 		l.mu.Unlock()
-		// On a virtual parent clock, adopt the latest shard clock.
-		for _, in := range l.inner {
-			simclock.Join(l.clock, in.Clock().Now())
-		}
-		closeForked(l.shardCfgs)
-		close(l.done)
 	})
-	<-l.done
 	return nil
 }
 
@@ -361,10 +325,10 @@ func (l *Live) Stats() (RunStats, bool) {
 	return l.stats, l.statsOK
 }
 
-func (l *Live) loop(cfg Config, s *scheduler) {
-	defer close(l.done)
+func (e *engine) loop(cfg Config, s *scheduler) {
+	defer close(e.done)
 	start := cfg.Clock.Now()
-	waiters := make(map[uint64]chan Result)
+	waiters := make(map[uint64]waiter)
 	completed := 0
 
 	deliver := func(rs []Result) {
@@ -375,10 +339,9 @@ func (l *Live) loop(cfg Config, s *scheduler) {
 					s.obs.completed.Inc()
 				}
 			}
-			if ch := waiters[r.QueryID]; ch != nil {
-				ch <- r
-				close(ch)
+			if w, ok := waiters[r.QueryID]; ok {
 				delete(waiters, r.QueryID)
+				w.fan.deliver(w.part, r)
 			}
 		}
 		if s.obs != nil && len(rs) > 0 {
@@ -398,7 +361,7 @@ func (l *Live) loop(cfg Config, s *scheduler) {
 			}
 			return
 		}
-		waiters[sub.job.ID] = sub.ch
+		waiters[sub.job.ID] = sub.waiter
 		if r := s.admit(sub.job, cfg.Clock.Now()); r != nil {
 			deliver([]Result{*r})
 		}
@@ -406,7 +369,7 @@ func (l *Live) loop(cfg Config, s *scheduler) {
 	drainInbox := func() {
 		for {
 			select {
-			case sub := <-l.inbox:
+			case sub := <-e.inbox:
 				admit(sub)
 			default:
 				return
@@ -422,7 +385,7 @@ func (l *Live) loop(cfg Config, s *scheduler) {
 				// Definitive drain check: nothing pending and the
 				// inbox is empty after the closing signal.
 				select {
-				case sub := <-l.inbox:
+				case sub := <-e.inbox:
 					admit(sub)
 					continue
 				default:
@@ -430,9 +393,9 @@ func (l *Live) loop(cfg Config, s *scheduler) {
 				break
 			}
 			select {
-			case sub := <-l.inbox:
+			case sub := <-e.inbox:
 				admit(sub)
-			case <-l.closing:
+			case <-e.closing:
 				closing = true
 			}
 			continue
@@ -443,14 +406,11 @@ func (l *Live) loop(cfg Config, s *scheduler) {
 		deliver(done)
 		if !closing {
 			select {
-			case <-l.closing:
+			case <-e.closing:
 				closing = true
 			default:
 			}
 		}
 	}
-	l.mu.Lock()
-	l.stats = s.finalize(cfg.Clock.Now().Sub(start), completed)
-	l.statsOK = true
-	l.mu.Unlock()
+	e.stats = s.finalize(cfg.Clock.Now().Sub(start), completed)
 }

@@ -10,22 +10,28 @@ import (
 	"liferaft/internal/simclock"
 )
 
-// runSharded replays a trace on the sharded engine: the bucket space is
-// split across cfg.Shards shards (cfg.ShardPartitioner), each shard gets
-// its own forked clock, disk, bucket cache, and workload queues, and a
-// worker goroutine per shard services that shard's local
-// aged-workload-throughput schedule. The coordinator fans each job's
-// workload objects out to the shards owning the buckets they overlap,
-// tracks per-query completion across shards (a query completes when its
-// last shard does), and merges per-shard RunStats into one aggregate with
-// a PerShard breakdown.
+// Run replays a query trace through the LifeRaft (or round-robin) engine:
+// jobs[i] arrives at offsets[i] after the start of the run. It returns one
+// Result per job, in completion order (ties broken by arrival, then query
+// ID), plus aggregate statistics. With a virtual clock this is the
+// discrete-event simulation used by every experiment; with a real clock it
+// blocks for the actual durations.
 //
-// On a virtual parent clock each shard charges costs to its own forked
-// clock, so K shards replaying the same work finish in ~1/K the virtual
-// time instead of serializing on one modeled disk; the parent clock is
-// advanced to the latest shard finish before returning. On the real clock
-// the shard workers genuinely run in parallel.
-func runSharded(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunStats, error) {
+// The bucket space is split across Config.Shards shards
+// (Config.ShardPartitioner; 0 or 1 means one shard owning every bucket).
+// Each shard's worker replays the sub-trace of jobs with work on it — the
+// workload objects overlapping its buckets, at the original arrival
+// offsets — on its own clock, disk, bucket cache and workload queues (see
+// forkConfigs; one shard uses the config's own). A query completes when
+// its last shard does, and per-shard RunStats merge into one aggregate
+// (see mergeShardStats).
+//
+// On a virtual parent clock each of several shards charges costs to its
+// own forked clock, so K shards replaying the same work finish in ~1/K
+// the virtual time instead of serializing on one modeled disk; the parent
+// clock is advanced to the latest shard finish before returning. On the
+// real clock the shard workers genuinely run in parallel.
+func Run(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunStats, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, RunStats{}, err
@@ -38,17 +44,17 @@ func runSharded(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunS
 			return nil, RunStats{}, fmt.Errorf("core: negative offset for job %d", i)
 		}
 	}
-	k := cfg.Shards
-	m, err := shard.NewMap(cfg.Store.Partition(), k, cfg.ShardPartitioner)
+	m, err := shard.NewMap(cfg.Store.Partition(), cfg.Shards, cfg.ShardPartitioner)
 	if err != nil {
 		return nil, RunStats{}, err
 	}
+	k := m.Shards()
 	start := cfg.Clock.Now()
-	shardCfgs, err := forkConfigs(cfg, m)
+	shardCfgs, release, err := forkConfigs(cfg, m)
 	if err != nil {
 		return nil, RunStats{}, err
 	}
-	defer closeForked(shardCfgs)
+	defer release()
 
 	// Fan the jobs out: each shard replays the sub-trace of jobs that
 	// have work on it, at the original arrival offsets.
@@ -68,8 +74,7 @@ func runSharded(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunS
 			width++
 		}
 		if width == 0 {
-			// No bucket overlaps anywhere: complete on arrival, as the
-			// single-disk engine does.
+			// No bucket overlaps anywhere: complete on arrival.
 			at := start.Add(offsets[i])
 			results = append(results, Result{QueryID: j.ID, Arrived: at, Completed: at})
 			continue
@@ -125,8 +130,8 @@ func runSharded(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunS
 	if n := coord.Pending(); n != 0 || len(partial) != 0 {
 		return nil, RunStats{}, fmt.Errorf("core: %d queries never completed across shards", n+len(partial))
 	}
-	// Single-disk Run returns completion order; reproduce it across
-	// shards (ties broken by arrival, then query ID, for determinism).
+	// Completion order across shards (ties broken by arrival, then query
+	// ID, for determinism).
 	sort.SliceStable(results, func(a, b int) bool {
 		ra, rb := results[a], results[b]
 		if !ra.Completed.Equal(rb.Completed) {
@@ -146,64 +151,71 @@ func runSharded(cfg Config, jobs []Job, offsets []time.Duration) ([]Result, RunS
 	return results, stats, nil
 }
 
-// forkConfigs builds the per-shard engine configs: each shard forks the
-// parent clock (independent virtual time) and the template disk, rebinds
-// the store to its own disk, gets its own bucket cache (newScheduler
-// constructs it per config), and admits only the buckets it owns. A
-// file-backed store is forked per shard too — every shard opens its own
-// segment set, so concurrent shard scans never share file descriptors.
-// The caller owns the forked stores and must close them (closeForked)
-// when the shard engines are done.
-func forkConfigs(cfg Config, m *shard.Map) ([]Config, error) {
+// forkConfigs builds the per-shard engine configs and a release func
+// that closes what forking opened. A one-shard map forks nothing: its
+// shard owns every bucket and runs on the config's own clock, disk and
+// store, so callers observe the clock advancing, the disk's statistics
+// and the store's tier counters exactly as on a single-disk engine.
+//
+// With several shards, each shard forks the parent clock (independent
+// virtual time) and the template disk, rebinds the store to its own disk,
+// gets its own bucket cache (newScheduler constructs it per config), and
+// admits only the buckets it owns. A file-backed store is forked per
+// shard too — every shard opens its own segment set, so concurrent shard
+// scans never share file descriptors; release closes those forked stores
+// and leaves the template store with its owner.
+func forkConfigs(cfg Config, m *shard.Map) ([]Config, func(), error) {
+	if m.Shards() == 1 {
+		return []Config{cfg}, func() {}, nil
+	}
 	shardCfgs := make([]Config, m.Shards())
-	for s := 0; s < m.Shards(); s++ {
-		s := s
+	release := func() {
+		for _, sc := range shardCfgs {
+			if sc.Store != nil {
+				sc.Store.Close()
+			}
+		}
+	}
+	for s := range shardCfgs {
 		sc := cfg
-		sc.Shards = 1
-		sc.ShardPartitioner = nil
 		sc.Clock = simclock.Fork(cfg.Clock)
 		sc.Disk = cfg.Disk.Fork(sc.Clock)
 		st, err := cfg.Store.Fork(sc.Disk)
 		if err != nil {
-			closeForked(shardCfgs[:s])
-			return nil, fmt.Errorf("core: forking store for shard %d: %w", s, err)
+			release()
+			return nil, nil, fmt.Errorf("core: forking store for shard %d: %w", s, err)
 		}
 		sc.Store = st
 		sc.ownsBucket = func(b int) bool { return m.Owner(b) == s }
 		sc.shardIndex = s
 		shardCfgs[s] = sc
 	}
-	return shardCfgs, nil
-}
-
-// closeForked releases the per-shard forked stores (segment sets opened
-// by forkConfigs); the template store stays with its owner.
-func closeForked(shardCfgs []Config) {
-	for _, sc := range shardCfgs {
-		if sc.Store != nil {
-			sc.Store.Close()
-		}
-	}
+	return shardCfgs, release, nil
 }
 
 // mergeShardStats merges per-shard statistics into the aggregate view:
 // counters sum, disk and cache stats sum, and Makespan is the latest
 // shard finish. Completed is left for the caller (it counts merged
-// queries, not per-shard completions).
+// queries, not per-shard completions). The PerShard breakdown is nil for
+// a one-shard map, whose aggregate is the shard's own statistics.
 func mergeShardStats(m *shard.Map, get func(s int) (RunStats, int)) RunStats {
 	var agg RunStats
-	agg.PerShard = make([]ShardStats, m.Shards())
+	if m.Shards() > 1 {
+		agg.PerShard = make([]ShardStats, m.Shards())
+	}
 	for s := 0; s < m.Shards(); s++ {
 		st, jobs := get(s)
-		agg.PerShard[s] = ShardStats{Shard: s, Buckets: m.Buckets(s), Jobs: jobs, Stats: st}
+		if agg.PerShard != nil {
+			agg.PerShard[s] = ShardStats{Shard: s, Buckets: m.Buckets(s), Jobs: jobs, Stats: st}
+		}
 		agg.BucketsServed += st.BucketsServed
 		agg.ScanServices += st.ScanServices
 		agg.IndexServices += st.IndexServices
 		agg.SpilledObjects += st.SpilledObjects
 		agg.SpillFetches += st.SpillFetches
 		// Per-shard cancellation counts can overstate the merged view (one
-		// query cancelled on several shards); the sharded Live engine
-		// overwrites Cancelled with the merged query count after this.
+		// query cancelled on several shards); Live overwrites Cancelled
+		// with the merged query count after this.
 		agg.Cancelled += st.Cancelled
 		agg.CancelledObjects += st.CancelledObjects
 		agg.Disk = agg.Disk.Add(st.Disk)

@@ -88,45 +88,44 @@ func TestShardsValidation(t *testing.T) {
 	}
 }
 
-// TestShardedOneShardMatchesLegacy runs the full sharded machinery with
-// K=1 (one shard owning every bucket) and requires it to reproduce the
-// legacy single-disk engine exactly: same per-query results, same
-// aggregate statistics modulo the PerShard breakdown.
+// TestShardedOneShardMatchesLegacy: Run with Shards 0 and 1 (a one-shard
+// map owning every bucket) must reproduce the per-shard worker run
+// directly on the same config exactly — same per-query results, same
+// aggregate statistics, and no PerShard breakdown.
 func TestShardedOneShardMatchesLegacy(t *testing.T) {
 	part, jobs := shardFixture(t)
 	offs := uniformOffsets(len(jobs), 500*time.Millisecond)
 
-	legacyRes, legacyStats, err := runEngine(shardCfg(part, 0, true), jobs, offs)
+	workerRes, workerStats, err := runEngine(shardCfg(part, 0, true), jobs, offs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shardedRes, shardedStats, err := runSharded(shardCfg(part, 1, true), jobs, offs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if len(shardedStats.PerShard) != 1 {
-		t.Fatalf("PerShard has %d entries, want 1", len(shardedStats.PerShard))
-	}
-	agg := shardedStats
-	agg.PerShard = nil
-	if !reflect.DeepEqual(agg, legacyStats) {
-		t.Errorf("sharded K=1 stats diverge:\n sharded %+v\n legacy  %+v", agg, legacyStats)
-	}
-
-	// The legacy engine's result order within one service batch is map
-	// order; compare per query.
-	lm, sm := byQueryID(legacyRes), byQueryID(shardedRes)
-	if len(lm) != len(sm) {
-		t.Fatalf("%d sharded results for %d legacy", len(sm), len(lm))
-	}
-	for id, lr := range lm {
-		sr, ok := sm[id]
-		if !ok {
-			t.Fatalf("query %d missing from sharded results", id)
+	// The worker's result order within one service batch is map order;
+	// compare per query.
+	wm := byQueryID(workerRes)
+	for _, shards := range []int{0, 1} {
+		res, stats, err := Run(shardCfg(part, shards, true), jobs, offs)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(sr, lr) {
-			t.Fatalf("query %d diverges:\n sharded %+v\n legacy  %+v", id, sr, lr)
+		if stats.PerShard != nil {
+			t.Fatalf("shards=%d: PerShard has %d entries, want nil", shards, len(stats.PerShard))
+		}
+		if !reflect.DeepEqual(stats, workerStats) {
+			t.Errorf("shards=%d: stats diverge:\n run    %+v\n worker %+v", shards, stats, workerStats)
+		}
+		rm := byQueryID(res)
+		if len(rm) != len(wm) {
+			t.Fatalf("shards=%d: %d results for %d worker results", shards, len(rm), len(wm))
+		}
+		for id, wr := range wm {
+			r, ok := rm[id]
+			if !ok {
+				t.Fatalf("shards=%d: query %d missing", shards, id)
+			}
+			if !reflect.DeepEqual(r, wr) {
+				t.Fatalf("shards=%d: query %d diverges:\n run    %+v\n worker %+v", shards, id, r, wr)
+			}
 		}
 	}
 }
@@ -416,29 +415,36 @@ func TestShardedPairsMatchLegacy(t *testing.T) {
 	}
 }
 
-// TestLiveShardedClockAdvances: the parent virtual clock must track the
-// shard clocks while a sharded live engine runs — the Adaptive
-// saturation estimator and empty-fan-out completion stamps read it — not
-// stay frozen at the engine start until Close.
+// TestLiveShardedClockAdvances: the caller's virtual clock must advance
+// while a live engine runs — the Adaptive saturation estimator and
+// empty-fan-out completion stamps read it — not stay frozen at the engine
+// start until Close. One shard services on the caller's clock itself, so
+// the clock has reached every delivered completion stamp; several shards
+// track their forked clocks at each Submit.
 func TestLiveShardedClockAdvances(t *testing.T) {
 	part, jobs := shardFixture(t)
-	cfg := shardCfg(part, 2, false)
-	start := cfg.Clock.Now()
-	l, err := NewLive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, job := range jobs[:6] {
-		ch, err := l.Submit(job)
+	for _, shards := range []int{1, 2} {
+		cfg := shardCfg(part, shards, false)
+		start := cfg.Clock.Now()
+		l, err := NewLive(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		<-ch
-	}
-	if !cfg.Clock.Now().After(start) {
-		t.Error("parent clock frozen during sharded live run")
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
+		for _, job := range jobs[:6] {
+			ch, err := l.Submit(job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := <-ch
+			if now := cfg.Clock.Now(); shards == 1 && now.Before(r.Completed) {
+				t.Errorf("query %d completed at %v but the caller's clock reads %v", r.QueryID, r.Completed, now)
+			}
+		}
+		if !cfg.Clock.Now().After(start) {
+			t.Errorf("shards=%d: caller's clock frozen during live run", shards)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

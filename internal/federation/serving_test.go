@@ -198,3 +198,58 @@ func TestExecuteCtxAborted(t *testing.T) {
 		t.Fatal("cancelled plan should fail")
 	}
 }
+
+// TestClientCancelAfterReturnSparesNextExchange: cancelling a hop's ctx
+// right after MatchCtx returns must not expire the deadline of the next
+// exchange on the shared connection. One goroutine sends hops and
+// cancels each ctx as soon as the call returns; another sends
+// uncancelled extracts on the same Client. Every call must succeed.
+func TestClientCancelAfterReturnSparesNextExchange(t *testing.T) {
+	f := newFixture(t)
+	srv, err := Serve(f.sdss, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c := Dial(srv.Addr().String())
+	defer c.Close()
+
+	ereq := ExtractRequest{QueryID: 1, RA: 150, Dec: 20, RadiusDeg: 0.5, Selectivity: 0.5, Seed: 3}
+	ext, err := c.Extract(ereq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mreq := MatchRequest{QueryID: 2, MatchRadiusArcsec: 5, Objects: ext.Objects}
+
+	const rounds = 400
+	errs := make(chan error, 2*rounds)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < rounds; i++ {
+			ctx, cancel := context.WithCancel(context.Background())
+			_, err := c.MatchCtx(ctx, mreq)
+			cancel()
+			if err != nil {
+				errs <- fmt.Errorf("hop %d: %w", i, err)
+			}
+		}
+	}()
+	for i := 0; i < rounds; i++ {
+		if _, err := c.Extract(ereq); err != nil {
+			errs <- fmt.Errorf("extract %d: %w", i, err)
+		}
+	}
+	<-done
+	close(errs)
+	failed := 0
+	for err := range errs {
+		if failed == 0 {
+			t.Errorf("first failure: %v", err)
+		}
+		failed++
+	}
+	if failed > 0 {
+		t.Errorf("%d of %d calls failed", failed, 2*rounds)
+	}
+}

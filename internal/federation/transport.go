@@ -314,20 +314,27 @@ func (c *Client) roundTripCtx(ctx context.Context, req rpcRequest) (rpcResponse,
 	}
 	// watch expires conn's deadline the moment ctx is cancelled
 	// (net.Conn deadlines are safe to set concurrently); the returned
-	// stop ends the watch.
+	// stop ends the watch and waits for the watcher to exit, so a ctx
+	// cancelled after the exchange can never expire the deadline of the
+	// next caller's exchange on the same connection.
 	watch := func(conn net.Conn) func() {
 		if ctx.Done() == nil {
 			return func() {}
 		}
 		stop := make(chan struct{})
+		exited := make(chan struct{})
 		go func() {
+			defer close(exited)
 			select {
 			case <-ctx.Done():
 				conn.SetDeadline(time.Now())
 			case <-stop:
 			}
 		}()
-		return func() { close(stop) }
+		return func() {
+			close(stop)
+			<-exited
+		}
 	}
 	defer func() {
 		// A cancelled exchange leaves the stream mid-message: never

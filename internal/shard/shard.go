@@ -149,16 +149,29 @@ func (m *Map) PartitionerName() string { return m.name }
 // half of admission — each shard's engine re-derives the per-bucket
 // assignment locally, restricted to the buckets it owns, so the union of
 // per-shard assignments equals the single-engine assignment exactly.
+//
+// A shard that receives every object so far shares objs' backing array
+// instead of copying it (always so for a query on one shard); callers
+// must treat the result as read-only, like objs itself.
 func (m *Map) Fanout(objs []xmatch.WorkloadObject) [][]xmatch.WorkloadObject {
 	out := make([][]xmatch.WorkloadObject, m.shards)
 	mark := make([]bool, m.shards)
 	touched := make([]int, 0, m.shards)
-	for _, wo := range objs {
-		for _, bi := range m.part.BucketsForRanges(wo.Ranges()) {
+	var buckets []int
+	for i, wo := range objs {
+		buckets = m.part.AppendBucketsForRanges(buckets[:0], wo.Ranges())
+		for _, bi := range buckets {
 			s := m.owner[bi]
-			if !mark[s] {
-				mark[s] = true
-				touched = append(touched, s)
+			if mark[s] {
+				continue
+			}
+			mark[s] = true
+			touched = append(touched, s)
+			if len(out[s]) == i {
+				// Every object so far went to s: extend the alias. The
+				// capped capacity makes a later append copy.
+				out[s] = objs[: i+1 : i+1]
+			} else {
 				out[s] = append(out[s], wo)
 			}
 		}

@@ -150,6 +150,26 @@ func TestFanout(t *testing.T) {
 			}
 		}
 	}
+	// Each shard keeps the input order.
+	pos := make(map[uint64]int, len(wos))
+	for i, wo := range wos {
+		pos[wo.Obj.ID] = i
+	}
+	for s := 0; s < 4; s++ {
+		for i := 1; i < len(fan[s]); i++ {
+			if pos[fan[s][i-1].Obj.ID] >= pos[fan[s][i].Obj.ID] {
+				t.Fatalf("shard %d: objects out of input order at %d", s, i)
+			}
+		}
+	}
+	// A one-shard map hands the input through without copying it.
+	one, err := NewMap(part, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := one.Fanout(wos)[0]; len(got) != len(wos) || &got[0] != &wos[0] {
+		t.Error("one-shard fan-out copied the input")
+	}
 	// Low-ordinal objects are spatially local: they must all fan out to
 	// shard 0 under a range split (an all-on-one-shard query).
 	first := m.Fanout(wos[:1])

@@ -32,19 +32,21 @@
 // # Sharded execution
 //
 // The paper's engine drives a single disk arm; this module scales the
-// same aged-workload-throughput policy across K disks. Setting
-// Config.Shards to K > 1 partitions the bucket space across K shards
+// same aged-workload-throughput policy across K disks through one engine
+// path. Config.Shards partitions the bucket space across K shards
 // (ShardByRange for contiguous balanced ranges, ShardByHTMHash to spread
 // spatial hotspots; the ShardPartitioner interface is pluggable). Each
-// shard owns its own modeled disk, bucket cache, and workload queues, and
-// a worker per shard services that shard's local LifeRaft schedule. A
-// coordinator fans each query's workload objects out to the shards owning
-// the buckets they overlap and completes the query when its last shard
-// finishes; RunStats merges across shards with a PerShard breakdown. On a
-// virtual clock each shard charges costs to its own forked clock, so K
-// shards finish in ~1/K the virtual time instead of serializing on one
-// modeled disk. Shards <= 1 preserves the paper's single-disk engine —
-// and its results — exactly.
+// shard owns a disk, bucket cache, and workload queues, and a worker per
+// shard services that shard's local LifeRaft schedule. A coordinator fans
+// each query's workload objects out to the shards owning the buckets they
+// overlap and completes the query when its last shard finishes; RunStats
+// merges across shards with a PerShard breakdown. With K > 1 each shard
+// forks its own modeled disk and, on a virtual clock, charges costs to its
+// own forked clock, so K shards finish in ~1/K the virtual time instead of
+// serializing on one modeled disk. Shards 0 or 1 is the same path with one
+// shard that owns every bucket and runs on the config's own clock, disk,
+// and store: the paper's single-disk engine and its results, with no
+// PerShard breakdown.
 //
 //	cfg, clk := liferaft.NewVirtualConfig(part, 0.25, false)
 //	cfg.Shards = 4
