@@ -14,6 +14,7 @@ package federation
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -44,6 +45,33 @@ func fromCatalog(o catalog.Object) Object {
 
 func (o Object) toCatalog() catalog.Object {
 	return catalog.Object{ID: o.ID, HTMID: htm.ID(o.HTMID), Pos: geom.Vec3{X: o.X, Y: o.Y, Z: o.Z}, Mag: o.Mag}
+}
+
+// maxNormError is how far from unit length a shipped object's position
+// may be. Positions are unit vectors rounded once by the sender; one
+// further off is corrupt.
+const maxNormError = 1e-6
+
+// checkObjects rejects shipped objects whose position is not a finite
+// vector of unit length within maxNormError. The error cap of a zero or
+// non-finite position bounds no region: it spans every bucket and
+// matches every local object.
+func checkObjects(objs []Object) error {
+	for i, o := range objs {
+		if n := math.Sqrt(o.X*o.X + o.Y*o.Y + o.Z*o.Z); !(math.Abs(n-1) <= maxNormError) {
+			return fmt.Errorf("federation: object %d (id %d): position (%v, %v, %v) is not a unit vector", i, o.ID, o.X, o.Y, o.Z)
+		}
+	}
+	return nil
+}
+
+// checkMatchRadius rejects a match radius that is not a positive, finite
+// number of arcseconds.
+func checkMatchRadius(arcsec float64) error {
+	if !(arcsec > 0) || math.IsInf(arcsec, 1) {
+		return fmt.Errorf("federation: match radius %v arcsec is not positive and finite", arcsec)
+	}
+	return nil
 }
 
 // ExtractRequest asks an archive for its objects within a region — the
@@ -333,8 +361,11 @@ func (n *Node) Match(req MatchRequest) (MatchResponse, error) {
 // layer, the request passes admission control first: rejected queries
 // surface *server.OverloadError without ever reaching the engine.
 func (n *Node) MatchCtx(ctx context.Context, req MatchRequest) (MatchResponse, error) {
-	if req.MatchRadiusArcsec <= 0 {
-		return MatchResponse{}, fmt.Errorf("federation: non-positive match radius")
+	if err := checkMatchRadius(req.MatchRadiusArcsec); err != nil {
+		return MatchResponse{}, err
+	}
+	if err := checkObjects(req.Objects); err != nil {
+		return MatchResponse{}, err
 	}
 	// Fail fast on a dead context: on a virtual clock the engine could
 	// otherwise complete the whole job before a cancel reaches it.
@@ -521,8 +552,8 @@ func (p *Portal) ExecuteCtx(ctx context.Context, q Query) (*ResultSet, error) {
 	if len(q.Archives) < 2 {
 		return nil, fmt.Errorf("federation: cross-match needs >= 2 archives, got %d", len(q.Archives))
 	}
-	if q.MatchRadiusArcsec <= 0 {
-		return nil, fmt.Errorf("federation: non-positive match radius")
+	if err := checkMatchRadius(q.MatchRadiusArcsec); err != nil {
+		return nil, err
 	}
 	// The caller's trace (if any) rides in ctx: the extraction and every
 	// hop get a portal-side span, and each hop's node-side spans are

@@ -2,6 +2,7 @@ package federation
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -198,6 +199,10 @@ func TestPortalValidation(t *testing.T) {
 	q.MatchRadiusArcsec = 0
 	if _, err := f.portal.Execute(q); err == nil {
 		t.Error("zero radius plan should fail")
+	}
+	q.MatchRadiusArcsec = math.NaN()
+	if _, err := f.portal.Execute(q); err == nil {
+		t.Error("NaN radius plan should fail")
 	}
 	got := f.portal.Archives()
 	if len(got) != 3 || got[0] != "sdss" {
@@ -508,6 +513,67 @@ func TestShardedNodeEquivalence(t *testing.T) {
 	for k := range a {
 		if !b[k] {
 			t.Fatalf("row %v missing from sharded result", k)
+		}
+	}
+}
+
+// TestMatchRejectsMalformedRequests: a shipped object whose position is
+// not a finite unit vector, or a match radius that is not positive and
+// finite, is rejected with an error before it reaches the engine, in
+// process and over TCP. A zero position would otherwise bound no region:
+// its error cap spans every level-14 trixel.
+func TestMatchRejectsMalformedRequests(t *testing.T) {
+	f := newFixture(t)
+	srv, err := Serve(f.sdss, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli := Dial(srv.Addr().String())
+	defer cli.Close()
+
+	ext, err := f.sdss.Extract(ExtractRequest{QueryID: 3, RA: 150, Dec: 20, RadiusDeg: 1, Selectivity: 1, Seed: 1})
+	if err != nil || len(ext.Objects) == 0 {
+		t.Fatalf("extract: %d objects, %v", len(ext.Objects), err)
+	}
+	good := ext.Objects[0]
+	nudged := good
+	nudged.X *= 1 + 1e-9 // within the norm tolerance
+	withPos := func(x, y, z float64) Object {
+		o := good
+		o.X, o.Y, o.Z = x, y, z
+		return o
+	}
+	badObjects := map[string]Object{
+		"zero":      withPos(0, 0, 0),
+		"nan":       withPos(math.NaN(), good.Y, good.Z),
+		"inf":       withPos(math.Inf(1), good.Y, good.Z),
+		"long":      withPos(2*good.X, 2*good.Y, 2*good.Z),
+		"off-1e-3":  withPos(good.X*(1+1e-3), good.Y*(1+1e-3), good.Z*(1+1e-3)),
+		"short-1e3": withPos(good.X/1e3, good.Y/1e3, good.Z/1e3),
+	}
+	badRadii := []float64{0, -5, math.NaN(), math.Inf(1), math.Inf(-1)}
+
+	for name, tr := range map[string]Transport{"inproc": InProc{f.sdss}, "tcp": cli} {
+		for what, o := range badObjects {
+			req := MatchRequest{QueryID: 4, MatchRadiusArcsec: 5, Objects: []Object{good, o}}
+			if _, err := tr.Match(req); err == nil || !strings.Contains(err.Error(), "unit vector") {
+				t.Errorf("%s: %s position: err = %v, want a unit-vector error", name, what, err)
+			}
+		}
+		for _, r := range badRadii {
+			req := MatchRequest{QueryID: 4, MatchRadiusArcsec: r, Objects: []Object{good}}
+			if _, err := tr.Match(req); err == nil || !strings.Contains(err.Error(), "match radius") {
+				t.Errorf("%s: radius %v: err = %v, want a match-radius error", name, r, err)
+			}
+		}
+		// The node keeps serving, and accepts positions within tolerance.
+		resp, err := tr.Match(MatchRequest{QueryID: 5, MatchRadiusArcsec: 5, Objects: []Object{good, nudged}})
+		if err != nil {
+			t.Fatalf("%s: well-formed request after rejections: %v", name, err)
+		}
+		if len(resp.Pairs) == 0 {
+			t.Errorf("%s: an archive object shipped back to its own archive matched nothing", name)
 		}
 	}
 }

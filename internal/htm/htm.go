@@ -19,6 +19,7 @@ package htm
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 
@@ -125,26 +126,24 @@ func (id ID) Triangle() geom.Triangle {
 	level := id.Level()
 	tri := FaceTriangle(id.FaceIndex())
 	for l := level - 1; l >= 0; l-- {
-		child := int(id>>(2*uint(l))) & 3
-		tri = subTriangle(tri, child)
+		tri = children(tri)[int(id>>(2*uint(l)))&3]
 	}
 	return tri
 }
 
-// subTriangle returns child i of tri under HTM's midpoint subdivision.
-func subTriangle(tri geom.Triangle, i int) geom.Triangle {
+// children returns the four children of tri under HTM's midpoint
+// subdivision, in child-index order. The three edge midpoints are computed
+// once and shared, so every caller sees bit-identical vertices for the
+// same trixel.
+func children(tri geom.Triangle) [4]geom.Triangle {
 	w0 := tri.V1.Mid(tri.V2)
 	w1 := tri.V0.Mid(tri.V2)
 	w2 := tri.V0.Mid(tri.V1)
-	switch i {
-	case 0:
-		return geom.Triangle{V0: tri.V0, V1: w2, V2: w1}
-	case 1:
-		return geom.Triangle{V0: tri.V1, V1: w0, V2: w2}
-	case 2:
-		return geom.Triangle{V0: tri.V2, V1: w1, V2: w0}
-	default:
-		return geom.Triangle{V0: w0, V1: w1, V2: w2}
+	return [4]geom.Triangle{
+		{V0: tri.V0, V1: w2, V2: w1},
+		{V0: tri.V1, V1: w0, V2: w2},
+		{V0: tri.V2, V1: w1, V2: w0},
+		{V0: w0, V1: w1, V2: w2},
 	}
 }
 
@@ -273,33 +272,7 @@ func Lookup(v geom.Vec3, level int) ID {
 		face = best
 		tri = FaceTriangle(face)
 	}
-	id := ID(8 + face)
-	for l := 0; l < level; l++ {
-		placed := false
-		for c := 0; c < 4; c++ {
-			sub := subTriangle(tri, c)
-			if sub.Contains(v) {
-				id = id<<2 | ID(c)
-				tri = sub
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			// Epsilon gaps can exclude a boundary point from all four
-			// children; snap to the child whose centroid is nearest.
-			best, bestDot := 0, -2.0
-			for c := 0; c < 4; c++ {
-				d := subTriangle(tri, c).Center().Dot(v)
-				if d > bestDot {
-					best, bestDot = c, d
-				}
-			}
-			id = id<<2 | ID(best)
-			tri = subTriangle(tri, best)
-		}
-	}
-	return id
+	return descend(ID(8+face), tri, v, level)
 }
 
 // LookupWithin returns the trixel of the given level containing v,
@@ -311,31 +284,33 @@ func LookupWithin(base ID, v geom.Vec3, level int) ID {
 	if level < base.Level() {
 		panic("htm: LookupWithin target above base level")
 	}
-	v = v.Normalize()
-	id := base
-	tri := base.Triangle()
-	for l := base.Level(); l < level; l++ {
-		placed := false
-		for c := 0; c < 4; c++ {
-			sub := subTriangle(tri, c)
-			if sub.Contains(v) {
-				id = id<<2 | ID(c)
-				tri = sub
-				placed = true
-				break
-			}
+	return descend(base, base.Triangle(), v.Normalize(), level)
+}
+
+// descend walks from trixel id, whose triangle is tri, down to the given
+// level, following the child that contains unit vector v at each step.
+// Points on child boundaries resolve to the lowest-numbered containing
+// child.
+func descend(id ID, tri geom.Triangle, v geom.Vec3, level int) ID {
+	for l := id.Level(); l < level; l++ {
+		kids := children(tri)
+		c := 0
+		for c < 4 && !kids[c].Contains(v) {
+			c++
 		}
-		if !placed {
+		if c == 4 {
+			// Epsilon gaps can exclude a boundary point from all four
+			// children; snap to the child whose centroid is nearest.
 			best, bestDot := 0, -2.0
-			for c := 0; c < 4; c++ {
-				d := subTriangle(tri, c).Center().Dot(v)
-				if d > bestDot {
-					best, bestDot = c, d
+			for i := range kids {
+				if d := kids[i].Center().Dot(v); d > bestDot {
+					best, bestDot = i, d
 				}
 			}
-			id = id<<2 | ID(best)
-			tri = subTriangle(tri, best)
+			c = best
 		}
+		id = id<<2 | ID(c)
+		tri = kids[c]
 	}
 	return id
 }
@@ -376,36 +351,192 @@ func (r Range) String() string {
 // together cover the spherical cap c: every point of the cap lies in some
 // returned range. This is the coarse filter of paper §3.1: a cross-match
 // object's potential join region (its positional-error cap) is converted
-// to HTM ranges, which are then intersected with bucket ranges.
+// to HTM ranges, which are then intersected with bucket ranges. Callers
+// that need only the ends of the cover, like a shipped object's bounding
+// ID range, should use CapBounds, which finds them without building it.
 //
 // The cover is conservative (it may include trixels that only graze the
 // cap) but sound (it never omits a trixel intersecting the cap).
 func CoverCap(c geom.Cap, level int) []Range {
+	w := newCoverWalk(c, level)
+	w.collect = true
+	w.run()
+	return MergeRanges(w.out)
+}
+
+// CapBounds returns the first and last level-`level` IDs of the cover of
+// cap c: exactly CoverCap(c, level)[0].Start and CoverCap(c, level)[n-1].End,
+// without building the cover and without allocating. ok is false when the
+// cover is empty. It is the bounding ID range shipped with each
+// cross-match object (paper §3.1).
+func CapBounds(c geom.Cap, level int) (lo, hi ID, ok bool) {
+	w := newCoverWalk(c, level)
+	if !w.run() {
+		return 0, 0, false
+	}
+	lo = w.first.Start
+	w.desc = true
+	w.run()
+	return lo, w.first.End, true
+}
+
+// coverWalk is the depth-first cover walk behind CoverCap and CapBounds.
+// It classifies trixels with Triangle.CapRelation, emits Inside trixels as
+// whole ranges and Partial ones at the target level, and recurses into
+// Partial trixels above it. It starts at the cap's home trixel when the
+// cap has one, at the eight faces otherwise.
+type coverWalk struct {
+	c     geom.Cap
+	level int
+
+	home      ID
+	homeDepth int
+	homeTri   geom.Triangle
+	hasHome   bool
+
+	// collect keeps every emitted range in out, in ascending order.
+	// Otherwise the walk stops at its first range, kept in first: the
+	// lowest range of the cover, or with desc the highest.
+	collect bool
+	desc    bool
+	out     []Range
+	first   Range
+}
+
+func newCoverWalk(c geom.Cap, level int) coverWalk {
 	if level < 0 || level > MaxLevel {
 		panic(fmt.Sprintf("htm: level %d out of range", level))
 	}
-	var out []Range
-	for i := 0; i < 8; i++ {
-		coverNode(FaceID(i), FaceTriangle(i), c, level, &out)
-	}
-	return MergeRanges(out)
+	w := coverWalk{c: c, level: level}
+	w.home, w.homeDepth, w.homeTri, w.hasHome = home(c, level)
+	return w
 }
 
-func coverNode(id ID, tri geom.Triangle, c geom.Cap, level int, out *[]Range) {
-	switch tri.CapRelation(c) {
+// run walks the cover and reports whether it stopped at a first range.
+func (w *coverWalk) run() bool {
+	if w.hasHome {
+		return w.visit(w.home, w.homeDepth, w.homeTri)
+	}
+	for i := 0; i < 8; i++ {
+		f := i
+		if w.desc {
+			f = 7 - i
+		}
+		if w.visit(FaceID(f), 0, FaceTriangle(f)) {
+			return true
+		}
+	}
+	return false
+}
+
+// visit walks the subtree of trixel id, at the given depth with triangle
+// tri, and reports whether the walk should stop.
+func (w *coverWalk) visit(id ID, depth int, tri geom.Triangle) bool {
+	var r Range
+	switch tri.CapRelation(w.c) {
 	case geom.Disjoint:
-		return
+		return false
 	case geom.Inside:
-		*out = append(*out, id.RangeAtLevel(level))
-		return
+		r = id.RangeAtLevel(w.level)
+	default:
+		if depth < w.level {
+			kids := children(tri)
+			for i := 0; i < 4; i++ {
+				k := i
+				if w.desc {
+					k = 3 - i
+				}
+				if w.visit(id<<2|ID(k), depth+1, kids[k]) {
+					return true
+				}
+			}
+			return false
+		}
+		r = Range{Start: id, End: id}
 	}
-	if id.Level() == level {
-		*out = append(*out, Range{Start: id, End: id})
-		return
+	if w.collect {
+		w.out = append(w.out, r)
+		return false
 	}
-	for i := 0; i < 4; i++ {
-		coverNode(id.Child(i), subTriangle(tri, i), c, level, out)
+	w.first = r
+	return true
+}
+
+// homeMargin is the clearance, in radians, that a cap keeps from every
+// edge of its home trixel. A point that far outside a cap falls short of
+// its cosine threshold by at least 1-cos(homeMargin), about
+// homeMargin²/2 = 50·Epsilon, so the Epsilon slack in Cap.Contains and
+// Cap.IntersectsArc cannot let any vertex or edge of a trixel beside the
+// home reach the cap.
+var homeMargin = 10 * math.Sqrt(geom.Epsilon)
+
+var sinMargin, cosMargin = math.Sincos(homeMargin)
+
+// home returns the deepest trixel, no deeper than level, that holds cap c
+// with homeMargin to spare from each of its edges, with its depth and
+// triangle. Every trixel passed on the way down — the other faces and the
+// siblings of each step — lies at least homeMargin outside the cap, so
+// CapRelation classifies it Disjoint and a cover walk that starts at home
+// emits exactly what one that starts at the faces does. ok is false when
+// no face holds the cap that way: caps of 60° or more, and caps that
+// touch or straddle a face edge.
+func home(c geom.Cap, level int) (id ID, depth int, tri geom.Triangle, ok bool) {
+	// No face holds a cap of 60° or more (a face's inscribed circle has
+	// a radius of 35°), and the sine bound below needs r+homeMargin < 90°.
+	if !(c.CosR > 0.5) {
+		return 0, 0, geom.Triangle{}, false
 	}
+	// A cap clears a great circle by homeMargin when its centre is at
+	// least r+homeMargin from it: sin of that distance is at least s.
+	s := math.Sqrt(1-c.CosR*c.CosR)*cosMargin + c.CosR*sinMargin
+	s2 := s * s
+	p := c.Center
+	face := 0
+	for ; face < 8; face++ {
+		tri = FaceTriangle(face)
+		if clears(tri.V0, tri.V1, p, s2) && clears(tri.V1, tri.V2, p, s2) && clears(tri.V2, tri.V0, p, s2) {
+			break
+		}
+	}
+	if face == 8 {
+		return 0, 0, geom.Triangle{}, false
+	}
+	id = FaceID(face)
+	for depth < level {
+		// Only the child that holds the cap is built, with the vertices
+		// children would give it: building all four costs a third of
+		// the descent. The cap already clears the parent's edges, so a
+		// corner child (0-2) holds it when it clears the child's inner
+		// edge, the one it shares with the middle child 3.
+		w0 := tri.V1.Mid(tri.V2)
+		w1 := tri.V0.Mid(tri.V2)
+		w2 := tri.V0.Mid(tri.V1)
+		var k ID
+		switch {
+		case clears(w2, w1, p, s2):
+			k, tri = 0, geom.Triangle{V0: tri.V0, V1: w2, V2: w1}
+		case clears(w0, w2, p, s2):
+			k, tri = 1, geom.Triangle{V0: tri.V1, V1: w0, V2: w2}
+		case clears(w1, w0, p, s2):
+			k, tri = 2, geom.Triangle{V0: tri.V2, V1: w1, V2: w0}
+		case clears(w0, w1, p, s2) && clears(w1, w2, p, s2) && clears(w2, w0, p, s2):
+			k, tri = 3, geom.Triangle{V0: w0, V1: w1, V2: w2}
+		default:
+			return id, depth, tri, true
+		}
+		id = id<<2 | k
+		depth++
+	}
+	return id, depth, tri, true
+}
+
+// clears reports whether unit vector p lies on the inner side of the
+// great circle through a and b (counterclockwise order) at an angular
+// distance whose sine squared is at least s2.
+func clears(a, b, p geom.Vec3, s2 float64) bool {
+	n := a.Cross(b)
+	d := n.Dot(p)
+	return d > 0 && d*d >= s2*n.Dot(n)
 }
 
 // MergeRanges sorts ranges by Start and coalesces overlapping or adjacent

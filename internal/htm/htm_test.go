@@ -437,6 +437,7 @@ func BenchmarkLookupLevel14(b *testing.B) {
 
 func BenchmarkCoverCapArcsec(b *testing.B) {
 	c := geom.NewCap(geom.FromRaDec(200, 30), geom.ArcsecToRad(5))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		CoverCap(c, PaperLevel)
@@ -517,5 +518,132 @@ func TestLookupPathologicalPoint(t *testing.T) {
 		if id.Level() != 12 {
 			t.Fatalf("level = %d", id.Level())
 		}
+	}
+}
+
+// faceCover is the reference cover: the same walk as CoverCap, started at
+// the eight faces instead of at the cap's home trixel.
+func faceCover(c geom.Cap, level int) []Range {
+	w := coverWalk{c: c, level: level, collect: true}
+	w.run()
+	return MergeRanges(w.out)
+}
+
+// checkCapBounds compares CoverCap and CapBounds against the face-started
+// reference cover.
+func checkCapBounds(t *testing.T, c geom.Cap, level int) {
+	t.Helper()
+	ref := faceCover(c, level)
+	cover := CoverCap(c, level)
+	if len(cover) != len(ref) {
+		t.Fatalf("cap %v cos %v level %d: CoverCap has %d ranges, face walk %d", c.Center, c.CosR, level, len(cover), len(ref))
+	}
+	for i := range ref {
+		if cover[i] != ref[i] {
+			t.Fatalf("cap %v cos %v level %d: CoverCap range %d = %v, face walk %v", c.Center, c.CosR, level, i, cover[i], ref[i])
+		}
+	}
+	lo, hi, ok := CapBounds(c, level)
+	if ok != (len(ref) > 0) {
+		t.Fatalf("cap %v cos %v level %d: CapBounds ok = %v with %d cover ranges", c.Center, c.CosR, level, ok, len(ref))
+	}
+	if ok && (lo != ref[0].Start || hi != ref[len(ref)-1].End) {
+		t.Fatalf("cap %v cos %v level %d: CapBounds = [%d, %d], cover ends [%d, %d]",
+			c.Center, c.CosR, level, lo, hi, ref[0].Start, ref[len(ref)-1].End)
+	}
+}
+
+// boundsCentres returns cap centres where the home descent's margin
+// decides: face vertices, trixel vertices and edge midpoints, each nudged
+// by offsets from 1e-16 to 1e-4 radians, plus uniform random points.
+func boundsCentres(rng *rand.Rand) []geom.Vec3 {
+	var anchors []geom.Vec3
+	anchors = append(anchors, octVerts[:]...)
+	for i := 0; i < 24; i++ {
+		level := rng.Intn(PaperLevel + 1)
+		tri := FromPos(uint64(rng.Int63n(int64(NumTrixels(level)))), level).Triangle()
+		mid := children(tri)[3]
+		anchors = append(anchors, tri.V0, tri.V1, tri.V2, mid.V0, mid.V1, mid.V2)
+	}
+	var out []geom.Vec3
+	for _, a := range anchors {
+		out = append(out, a)
+		for k := 4; k <= 16; k += 2 + rng.Intn(2) {
+			u := geom.Vec3{X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: rng.NormFloat64()}.Normalize()
+			out = append(out, a.Add(u.Scale(math.Pow(10, -float64(k)))).Normalize())
+		}
+	}
+	for i := 0; i < 40; i++ {
+		out = append(out, geom.FromRaDec(rng.Float64()*360, math.Asin(rng.Float64()*2-1)*180/math.Pi))
+	}
+	return out
+}
+
+func TestCapBoundsMatchesCoverCap(t *testing.T) {
+	radii := []float64{
+		0, geom.ArcsecToRad(0.5), geom.ArcsecToRad(5), geom.ArcsecToRad(30),
+		geom.ArcsecToRad(300), geom.Radians(2), geom.Radians(100), geom.Radians(180),
+	}
+	rng := rand.New(rand.NewSource(31))
+	centres := boundsCentres(rng)
+	for i, p := range centres {
+		for _, r := range radii {
+			c := geom.NewCap(p, r)
+			// The margin decides for small caps; covers of degree-sized
+			// caps run to thousands of trixels (sky-sized ones at level
+			// 14 to ~10^6), so a sample of them is enough.
+			if r > geom.Radians(1) && i%10 != 0 {
+				continue
+			}
+			for _, level := range []int{5, 9, PaperLevel} {
+				if level == PaperLevel && r > 1 && i%500 != 0 {
+					continue
+				}
+				checkCapBounds(t, c, level)
+			}
+		}
+	}
+}
+
+func TestCapBoundsSkipsTheFaces(t *testing.T) {
+	// An arcsecond cap well inside a face has a deep home; one on a face
+	// edge has none and must walk from the faces.
+	if _, depth, _, ok := home(geom.NewCap(geom.FromRaDec(200, 30), geom.ArcsecToRad(5)), PaperLevel); !ok || depth < 8 {
+		t.Errorf("5-arcsec cap at (200, 30): home depth %d ok %v, want a deep home", depth, ok)
+	}
+	if _, _, _, ok := home(geom.NewCap(geom.Vec3{X: 1}, geom.ArcsecToRad(5)), PaperLevel); ok {
+		t.Error("cap on an octahedron vertex has a home")
+	}
+	if _, _, _, ok := home(geom.NewCap(geom.FromRaDec(45, 45), geom.Radians(60)), PaperLevel); ok {
+		t.Error("60-degree cap has a home")
+	}
+}
+
+func FuzzCapBounds(f *testing.F) {
+	f.Add(1.0, 0.0, 0.0, 5.0, uint8(PaperLevel))
+	f.Add(0.3, -0.4, 0.5, 0.5, uint8(PaperLevel))
+	f.Add(0.0, 0.0, -1.0, 0.0, uint8(9))
+	f.Add(0.577, 0.577, 0.577, 7200.0, uint8(5))
+	f.Add(-0.2, 0.9, 1e-9, 30.0, uint8(PaperLevel))
+	f.Fuzz(func(t *testing.T, x, y, z, radiusArcsec float64, level uint8) {
+		v := geom.Vec3{X: x, Y: y, Z: z}
+		if n := v.Norm(); !(n > 1e-3) || math.IsInf(n, 0) || math.IsNaN(radiusArcsec) {
+			return
+		}
+		r := geom.ArcsecToRad(math.Abs(radiusArcsec))
+		lv := int(level) % (PaperLevel + 1)
+		if r > geom.Radians(1) && lv > 9 {
+			lv = 9 // keep big-cap covers small enough to fuzz quickly
+		}
+		checkCapBounds(t, geom.NewCap(v, r), lv)
+	})
+}
+
+func BenchmarkCapBoundsArcsec(b *testing.B) {
+	c := geom.NewCap(geom.FromRaDec(200, 30), geom.ArcsecToRad(5))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		CapBounds(c, PaperLevel)
 	}
 }

@@ -40,23 +40,21 @@ type WorkloadObject struct {
 	// Radius is the match radius in radians (instrument error circle).
 	Radius float64
 	// MinID and MaxID bound the level-14 HTM IDs of every possible
-	// counterpart: the extremes of the cover of the error cap.
+	// counterpart: the ends of the cover of the error cap, as returned
+	// by htm.CapBounds.
 	MinID, MaxID htm.ID
 }
 
 // NewWorkloadObject builds a workload object for a remote object and match
-// radius (radians), computing its bounding HTM ID range from the cover of
-// the error cap.
+// radius (radians), bounding its HTM ID range with htm.CapBounds. It does
+// not allocate.
 func NewWorkloadObject(queryID uint64, obj catalog.Object, radius float64) WorkloadObject {
-	cover := htm.CoverCap(geom.NewCap(obj.Pos, radius), htm.PaperLevel)
 	w := WorkloadObject{QueryID: queryID, Obj: obj, Radius: radius}
-	if len(cover) > 0 {
-		w.MinID = cover[0].Start
-		w.MaxID = cover[len(cover)-1].End
-	} else {
-		// A degenerate (zero-radius) cap still covers its own trixel.
-		id := obj.HTMID
-		w.MinID, w.MaxID = id, id
+	var ok bool
+	if w.MinID, w.MaxID, ok = htm.CapBounds(geom.NewCap(obj.Pos, radius), htm.PaperLevel); !ok {
+		// A degenerate cap with an empty cover still covers its own
+		// trixel.
+		w.MinID, w.MaxID = obj.HTMID, obj.HTMID
 	}
 	return w
 }

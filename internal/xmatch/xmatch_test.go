@@ -1,6 +1,7 @@
 package xmatch
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -98,6 +99,42 @@ func TestNewWorkloadObjectZeroRadius(t *testing.T) {
 	w := NewWorkloadObject(1, obj, 0)
 	if w.MinID > obj.HTMID || w.MaxID < obj.HTMID {
 		t.Error("zero-radius bounds must include own trixel")
+	}
+}
+
+// skyObjects returns n objects spread uniformly over the sky.
+func skyObjects(seed int64, n int) []catalog.Object {
+	rng := rand.New(rand.NewSource(seed))
+	objs := make([]catalog.Object, n)
+	for i := range objs {
+		p := geom.FromRaDec(rng.Float64()*360, geom.Degrees(math.Asin(rng.Float64()*2-1)))
+		objs[i] = catalog.Object{ID: uint64(i), Pos: p, HTMID: htm.Lookup(p, htm.PaperLevel)}
+	}
+	return objs
+}
+
+func TestNewWorkloadObjectBoundsMatchCover(t *testing.T) {
+	for i, o := range skyObjects(3, 300) {
+		radius := geom.ArcsecToRad([]float64{0.5, 3, 5, 30}[i%4])
+		cover := htm.CoverCap(geom.NewCap(o.Pos, radius), htm.PaperLevel)
+		w := NewWorkloadObject(1, o, radius)
+		if w.MinID != cover[0].Start || w.MaxID != cover[len(cover)-1].End {
+			t.Fatalf("object %d: bounds [%d, %d], cover ends [%d, %d]",
+				i, w.MinID, w.MaxID, cover[0].Start, cover[len(cover)-1].End)
+		}
+	}
+}
+
+func TestNewWorkloadObjectZeroAlloc(t *testing.T) {
+	objs := skyObjects(5, 64)
+	radius := geom.ArcsecToRad(5)
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		NewWorkloadObject(1, objs[i%len(objs)], radius)
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("NewWorkloadObject allocates %v times per call, want 0", allocs)
 	}
 }
 
@@ -236,5 +273,15 @@ func BenchmarkIndexJoin1kx30(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		IndexJoin(locals, queue, nil)
+	}
+}
+
+func BenchmarkNewWorkloadObject(b *testing.B) {
+	objs := skyObjects(7, 1024)
+	radius := geom.ArcsecToRad(5)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		NewWorkloadObject(1, objs[i%len(objs)], radius)
 	}
 }
