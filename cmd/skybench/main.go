@@ -379,9 +379,9 @@ func (f *realFixture) replay() (*realIOSnapshot, error) {
 		})
 	}
 
-	cfg, err := core.NewFileBackedFrom(f.part, 0.5, false, f.set)
+	cfg, err := core.NewFileBacked(f.part, 0.5, false, f.set, core.TierOptions{})
 	if err != nil {
-		return nil, err // NewFileBackedFrom closed the set
+		return nil, err // NewFileBacked closed the set
 	}
 	defer cfg.Store.Close()
 	offsets := make([]time.Duration, len(jobs)) // batch: saturated from t=0

@@ -181,7 +181,7 @@ func runTiered(path, dataDir string) error {
 		if err != nil {
 			return core.Config{}, err
 		}
-		cfg, err := core.NewFileBackedFrom(part, 0.5, false, s)
+		cfg, err := core.NewFileBacked(part, 0.5, false, s, core.TierOptions{})
 		if err != nil {
 			return core.Config{}, err
 		}
@@ -195,14 +195,14 @@ func runTiered(path, dataDir string) error {
 		if err != nil {
 			return disktier.Stats{}, 0, err
 		}
-		cfg, err := core.NewFileBackedTieredFrom(part, 0.5, false, s, core.TierOptions{
-			Dir: tierDir, CapacityBytes: tieredTierBytes,
-			PrefetchDepth: depth, PrefetchInflight: tieredInflight,
+		cfg, err := core.NewFileBacked(part, 0.5, false, s, core.TierOptions{
+			Dir: tierDir, CapacityBytes: tieredTierBytes, PrefetchInflight: tieredInflight,
 		})
 		if err != nil {
 			return disktier.Stats{}, 0, err
 		}
 		cfg.HybridThreshold = tieredForceScan
+		cfg.PrefetchDepth = depth
 		tb := cfg.Store.Backend().(*segment.TieredBackend)
 		offsets := make([]time.Duration, len(jobs))
 		_, stats, err := core.Run(cfg, jobs, offsets)
@@ -300,14 +300,14 @@ func runTiered(path, dataDir string) error {
 		if err != nil {
 			return err
 		}
-		cfg, err := core.NewFileBackedTieredFrom(part, 0.5, false, s, core.TierOptions{
-			Dir: prefetchDir, CapacityBytes: tieredTierBytes,
-			PrefetchDepth: tieredDepth, PrefetchInflight: tieredInflight,
+		cfg, err := core.NewFileBacked(part, 0.5, false, s, core.TierOptions{
+			Dir: prefetchDir, CapacityBytes: tieredTierBytes, PrefetchInflight: tieredInflight,
 		})
 		if err != nil {
 			return err
 		}
 		cfg.HybridThreshold = tieredForceScan
+		cfg.PrefetchDepth = tieredDepth
 		tb := cfg.Store.Backend().(*segment.TieredBackend)
 		if _, err := runPass(cfg, scanJobs); err != nil {
 			cfg.Store.Close()

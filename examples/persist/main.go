@@ -75,12 +75,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fileCfg, err := liferaft.NewFileBackedConfigFrom(part, 0.25, true, set)
+	fileCfg, err := liferaft.NewFileBackedConfig(part, 0.25, true, set, liferaft.TierOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer fileCfg.Store.Close()
 	fileRes, fileStats, err := liferaft.Run(fileCfg, jobs, offsets)
+	fileCfg.Store.Close()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -96,9 +96,8 @@ func main() {
 		"sim", sum(simRes), simStats.Disk.SeqReads, float64(simStats.Disk.SeqBytes)/1e6, simStats.Disk.BusyTime.Round(time.Millisecond))
 	fmt.Printf("%-8s %12d %12d %12.1f  (measured: %v of real wall time)\n",
 		"file", sum(fileRes), fileStats.Disk.SeqReads, float64(fileStats.Disk.SeqBytes)/1e6, fileStats.Makespan.Round(time.Millisecond))
-	if sum(simRes) == sum(fileRes) {
-		fmt.Println("\nidentical matches from both backends; only the file backend touched the disk")
-	} else {
-		fmt.Println("\nBACKENDS DIVERGED — this is a bug")
+	if sum(simRes) != sum(fileRes) {
+		log.Fatal("BACKENDS DIVERGED — this is a bug")
 	}
+	fmt.Println("\nidentical matches from both backends; only the file backend touched the disk")
 }

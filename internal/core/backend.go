@@ -1,163 +1,60 @@
 package core
 
 import (
-	"fmt"
-
 	"liferaft/internal/bucket"
-	"liferaft/internal/cache"
 	"liferaft/internal/cache/disktier"
-	"liferaft/internal/disk"
 	"liferaft/internal/segment"
 	"liferaft/internal/simclock"
-	"liferaft/internal/xmatch"
 )
 
-// BackendKind names the storage backend serving Config.Store.
-type BackendKind string
-
-const (
-	// BackendSim serves buckets from the analytic disk model: costs are
-	// charged to the configured clock (virtual for experiments) and
-	// objects come from the synthetic catalog. The default, and the
-	// configuration every paper figure and golden test runs.
-	BackendSim BackendKind = "sim"
-	// BackendFile serves buckets from segment files under
-	// Config.DataDir with real I/O: reads block for as long as the
-	// hardware takes and the engine runs on the real clock, so measured
-	// throughput is hardware throughput. Built with NewFileBacked.
-	BackendFile BackendKind = "file"
-)
-
-// NewFileBacked builds the real-I/O stack: the segment store under
-// dataDir (written beforehand by segment.Write / cmd/skygen
-// -write-segments) serves the buckets, the engine runs on
-// simclock.Real, and the disk object keeps the SkyQuery model only for
-// the costs that remain modeled (the in-memory match constant Tm and
-// workload spill accounting) while real reads record their measured
-// elapsed time. The store is validated against part before the first
-// read; close it with cfg.Store.Close() when the engine is done.
-func NewFileBacked(part *bucket.Partition, alpha float64, materialize bool, dataDir string) (Config, error) {
-	set, err := segment.OpenSet(dataDir)
-	if err != nil {
-		return Config{}, err
-	}
-	return NewFileBackedFrom(part, alpha, materialize, set)
-}
-
-// NewFileBackedFrom is NewFileBacked over an already-opened segment
-// set, taking ownership of it (cfg.Store.Close() releases it). Callers
-// that just built or probed the store with segment.Ensure hand the open
-// set straight over instead of paying a second open-and-verify pass
-// over every segment file.
-func NewFileBackedFrom(part *bucket.Partition, alpha float64, materialize bool, set *segment.Set) (Config, error) {
-	if err := set.Validate(part); err != nil {
-		set.Close()
-		return Config{}, err
-	}
-	clk := simclock.Real{}
-	d := disk.New(disk.SkyQuery(), clk)
-	st := bucket.NewStore(part, d, materialize).WithBackend(segment.NewBackend(set, materialize))
-	return Config{
-		Store:              st,
-		Disk:               d,
-		Clock:              clk,
-		Policy:             PolicyLifeRaft,
-		Alpha:              alpha,
-		CacheBuckets:       20,
-		CachePolicy:        cache.PolicyLRU,
-		HybridThreshold:    xmatch.DefaultThreshold,
-		MaterializeResults: materialize,
-		Backend:            BackendFile,
-		DataDir:            set.Dir(),
-	}, nil
-}
-
-// TierOptions configures the disk cache tier of a tiered file-backed
-// engine (NewFileBackedTiered).
+// TierOptions configures the disk cache tier of a file-backed engine
+// (NewFileBacked). The zero value builds no tier.
 type TierOptions struct {
 	// Dir is the disk tier's cache directory (created if missing;
-	// reopening a warm directory restarts warm).
+	// reopening a warm directory restarts warm). Empty means no tier:
+	// every read goes straight to the segment files.
 	Dir string
 	// CapacityBytes bounds the tier's cached data bytes.
 	CapacityBytes int64
-	// PrefetchDepth is copied to Config.PrefetchDepth: how many
-	// upcoming buckets the scheduler peeks after each pick. 0 disables
-	// prefetch (the tier still caches on demand).
-	PrefetchDepth int
 	// PrefetchInflight bounds concurrent background promotions
 	// (disktier.Config.PromoteInflight); 0 means the tier default.
 	PrefetchInflight int
 }
 
-// NewFileBackedTiered is NewFileBacked with the disk cache tier layered
-// between the engine and the segment files: reads that hit the tier are
-// served from mmap'd group regions, misses fall through and promote,
-// and (with TierOptions.PrefetchDepth > 0) the scheduler prefetches the
-// buckets its own orderings say come next. cfg.Store.Close() closes the
-// segment set and the tier (persisting its eviction state).
-func NewFileBackedTiered(part *bucket.Partition, alpha float64, materialize bool, dataDir string, topt TierOptions) (Config, error) {
-	set, err := segment.OpenSet(dataDir)
-	if err != nil {
-		return Config{}, err
-	}
-	return NewFileBackedTieredFrom(part, alpha, materialize, set, topt)
-}
-
-// NewFileBackedTieredFrom is NewFileBackedTiered over an already-opened
-// segment set, taking ownership of it.
-func NewFileBackedTieredFrom(part *bucket.Partition, alpha float64, materialize bool, set *segment.Set, topt TierOptions) (Config, error) {
+// NewFileBacked builds the real-I/O stack over an opened segment set
+// (segment.OpenSet or segment.Ensure; written beforehand by
+// segment.Write / cmd/skygen -write-segments), taking ownership of it:
+// the set is validated against part and closed on any error, and
+// cfg.Store.Close() releases it (and the tier, persisting its eviction
+// state) when the engine is done. The config is NewOn's on the real
+// clock, so reads block for as long as the hardware takes and record
+// their measured elapsed time, while the disk object keeps the SkyQuery
+// model only for the costs that remain modeled (the in-memory match
+// constant Tm and workload spill accounting).
+//
+// With tier.Dir set, the disk cache tier sits between the engine and the
+// segment files: hits are served from mmap'd group regions, misses fall
+// through and promote, and a positive cfg.PrefetchDepth has the
+// scheduler prefetch the buckets its own orderings say come next.
+func NewFileBacked(part *bucket.Partition, alpha float64, materialize bool, set *segment.Set, tier TierOptions) (Config, error) {
 	if err := set.Validate(part); err != nil {
 		set.Close()
 		return Config{}, err
 	}
-	tier, err := disktier.Open(disktier.Config{
-		Dir:             topt.Dir,
-		CapacityBytes:   topt.CapacityBytes,
-		PromoteInflight: topt.PrefetchInflight,
-	})
-	if err != nil {
-		set.Close()
-		return Config{}, err
+	var backend bucket.Backend = segment.NewBackend(set, materialize)
+	if tier.Dir != "" {
+		t, err := disktier.Open(disktier.Config{
+			Dir:             tier.Dir,
+			CapacityBytes:   tier.CapacityBytes,
+			PromoteInflight: tier.PrefetchInflight,
+		})
+		if err != nil {
+			set.Close()
+			return Config{}, err
+		}
+		backend = segment.NewTieredBackend(set, t, materialize)
 	}
-	clk := simclock.Real{}
-	d := disk.New(disk.SkyQuery(), clk)
-	st := bucket.NewStore(part, d, materialize).WithBackend(segment.NewTieredBackend(set, tier, materialize))
-	return Config{
-		Store:              st,
-		Disk:               d,
-		Clock:              clk,
-		Policy:             PolicyLifeRaft,
-		Alpha:              alpha,
-		CacheBuckets:       20,
-		CachePolicy:        cache.PolicyLRU,
-		HybridThreshold:    xmatch.DefaultThreshold,
-		MaterializeResults: materialize,
-		Backend:            BackendFile,
-		DataDir:            set.Dir(),
-		PrefetchDepth:      topt.PrefetchDepth,
-	}, nil
-}
-
-// validateBackend checks the backend knob against the rest of the
-// config; called from withDefaults after Store/Clock presence checks.
-func (c Config) validateBackend() error {
-	switch c.Backend {
-	case BackendSim:
-		if c.Store.Backend() != nil {
-			return fmt.Errorf("core: Backend %q but Store has a real-I/O backend attached", c.Backend)
-		}
-	case BackendFile:
-		if c.DataDir == "" {
-			return fmt.Errorf("core: Backend %q requires DataDir", c.Backend)
-		}
-		if c.Store.Backend() == nil {
-			return fmt.Errorf("core: Backend %q but Store serves the disk model; build the config with NewFileBacked", c.Backend)
-		}
-		if _, virtual := c.Clock.(*simclock.Virtual); virtual {
-			return fmt.Errorf("core: Backend %q does real I/O and must run on the real clock, not a virtual one", c.Backend)
-		}
-	default:
-		return fmt.Errorf("core: unknown Backend %q", c.Backend)
-	}
-	return nil
+	cfg := NewOn(part, alpha, materialize, simclock.Real{})
+	cfg.Store = cfg.Store.WithBackend(backend)
+	return cfg, nil
 }

@@ -13,7 +13,7 @@ import (
 // pick against the exhaustive-scan baseline (both in-tree), and
 // BenchmarkStep measures the full service loop with -benchmem asserting
 // the zero-alloc steady state. cmd/skybench -bench-json replays the same
-// probes into BENCH_3.json for the cross-PR perf trajectory.
+// probes into BENCH_4.json for the cross-PR perf trajectory.
 
 var benchBs = []int{1_000, 10_000, 100_000}
 

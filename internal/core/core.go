@@ -78,20 +78,12 @@ type Config struct {
 	// Eq. 2 will choose next — and asks the store's tiered backend to
 	// promote their groups toward the fast tier ahead of their service.
 	// Requires a Store whose backend implements bucket.Prefetcher
-	// (build the config with NewFileBackedTiered); only the LifeRaft
-	// policy maintains the orderings the peek reads, so other policies
-	// ignore the knob. 0 (the default) disables the hook entirely and
-	// leaves the service loop byte-for-byte on its untiered path.
+	// (build the config with NewFileBacked and a TierOptions.Dir); only
+	// the LifeRaft policy maintains the orderings the peek reads, so
+	// other policies ignore the knob. 0 (the default) disables the hook
+	// entirely and leaves the service loop byte-for-byte on its untiered
+	// path.
 	PrefetchDepth int
-
-	// Backend selects the storage backend: BackendSim (default) serves
-	// buckets from the analytic disk model on the configured clock;
-	// BackendFile serves them from segment files under DataDir with
-	// real I/O on the real clock. Build file-backed configs with
-	// NewFileBacked, which opens and validates the segment store.
-	Backend BackendKind
-	// DataDir is the segment directory backing BackendFile.
-	DataDir string
 
 	// Shards is the number of disk/worker shards the bucket space is
 	// partitioned across (ShardPartitioner). Every shard has its own disk,
@@ -143,11 +135,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Clock == nil {
 		return c, fmt.Errorf("core: Config.Clock is required")
 	}
-	if c.Backend == "" {
-		c.Backend = BackendSim
-	}
-	if err := c.validateBackend(); err != nil {
-		return c, err
+	if _, virtual := c.Clock.(*simclock.Virtual); virtual && c.Store.Backend() != nil {
+		return c, fmt.Errorf("core: the store's backend does real I/O and must run on the real clock, not a virtual one")
 	}
 	if c.Policy == "" {
 		c.Policy = PolicyLifeRaft
@@ -183,7 +172,7 @@ func (c Config) withDefaults() (Config, error) {
 		return c, fmt.Errorf("core: negative PrefetchDepth")
 	}
 	if c.PrefetchDepth > 0 && c.Store.Prefetcher() == nil {
-		return c, fmt.Errorf("core: PrefetchDepth %d but the store's backend cannot prefetch; build the config with NewFileBackedTiered", c.PrefetchDepth)
+		return c, fmt.Errorf("core: PrefetchDepth %d but the store's backend cannot prefetch; build the config with NewFileBacked and a TierOptions.Dir", c.PrefetchDepth)
 	}
 	return c, nil
 }
@@ -299,34 +288,23 @@ func (s RunStats) String() string {
 		s.BucketsServed, s.ScanServices, s.IndexServices, s.Cache)
 }
 
-// NewVirtual builds the standard experiment stack: a virtual clock, a disk
-// with the SkyQuery model, a store over the partition (materializing if
-// materialize is set), and a Config pre-filled with paper defaults
-// (LifeRaft policy, 20-bucket LRU cache, 3% hybrid threshold).
+// NewVirtual builds the standard experiment stack: NewOn on a fresh
+// virtual clock, which it also returns.
 func NewVirtual(part *bucket.Partition, alpha float64, materialize bool) (Config, *simclock.Virtual) {
 	clk := simclock.NewVirtual()
-	d := disk.New(disk.SkyQuery(), clk)
-	st := bucket.NewStore(part, d, materialize)
-	return Config{
-		Store:              st,
-		Disk:               d,
-		Clock:              clk,
-		Policy:             PolicyLifeRaft,
-		Alpha:              alpha,
-		CacheBuckets:       20,
-		CachePolicy:        cache.PolicyLRU,
-		HybridThreshold:    xmatch.DefaultThreshold,
-		MaterializeResults: materialize,
-	}, clk
+	return NewOn(part, alpha, materialize, clk), clk
 }
 
 // bucketObjects is the cached payload: a materialized bucket (nil in
 // cost-only mode, where membership alone matters).
 type bucketObjects []catalog.Object
 
-// NewOn is NewVirtual generalized to a caller-provided clock: federation
-// nodes pass the real clock (deployments) or a shared virtual clock
-// (experiments).
+// NewOn builds an engine stack on clk: a disk with the SkyQuery model, a
+// store over the partition (materializing if materialize is set), and a
+// Config pre-filled with paper defaults (LifeRaft policy, 20-bucket LRU
+// cache, 3% hybrid threshold). Federation nodes pass the real clock
+// (deployments) or a shared virtual clock (experiments); NewVirtual and
+// NewFileBacked build on it.
 func NewOn(part *bucket.Partition, alpha float64, materialize bool, clk simclock.Clock) Config {
 	d := disk.New(disk.SkyQuery(), clk)
 	st := bucket.NewStore(part, d, materialize)

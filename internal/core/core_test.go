@@ -11,7 +11,7 @@ import (
 	"liferaft/internal/catalog"
 	"liferaft/internal/disk"
 	"liferaft/internal/geom"
-	"liferaft/internal/metrics"
+	"liferaft/internal/metric"
 	"liferaft/internal/simclock"
 	"liferaft/internal/workload"
 )
@@ -327,7 +327,7 @@ func TestResponseTimeShape(t *testing.T) {
 		for i, r := range res {
 			xs[i] = r.ResponseTime().Seconds()
 		}
-		return metrics.Summarize(xs).Mean
+		return metric.Summarize(xs).Mean
 	}
 	cfg0, _ := NewVirtual(part, 0, false)
 	res0, _ := mustRun(t, cfg0, jobs, offs)
@@ -413,7 +413,7 @@ func TestQoSDepreciationHelpsShortQueries(t *testing.T) {
 				xs = append(xs, r.ResponseTime().Seconds())
 			}
 		}
-		return metrics.Summarize(xs).Mean
+		return metric.Summarize(xs).Mean
 	}
 	plain, qos := shortMean(0), shortMean(4)
 	if qos >= plain {
@@ -528,14 +528,14 @@ func TestLiveEngine(t *testing.T) {
 
 func TestTunerSelection(t *testing.T) {
 	// Curves shaped like the paper's Figure 4.
-	low := metrics.Curve{
+	low := metric.Curve{
 		{Alpha: 0, Throughput: 0.105, RespTime: 220},
 		{Alpha: 0.25, Throughput: 0.102, RespTime: 180},
 		{Alpha: 0.5, Throughput: 0.100, RespTime: 150},
 		{Alpha: 0.75, Throughput: 0.099, RespTime: 120},
 		{Alpha: 1, Throughput: 0.098, RespTime: 100},
 	}
-	high := metrics.Curve{
+	high := metric.Curve{
 		{Alpha: 0, Throughput: 0.40, RespTime: 420},
 		{Alpha: 0.25, Throughput: 0.33, RespTime: 330},
 		{Alpha: 0.5, Throughput: 0.26, RespTime: 320},

@@ -41,8 +41,6 @@ func mkTieredParity(t *testing.T, part *bucket.Partition, dir, tierDir string, p
 		MaterializeResults:   pc.materialize,
 		AgeDepreciationGamma: pc.gamma,
 		WorkloadMemoryCap:    pc.memCap,
-		Backend:              BackendFile,
-		DataDir:              dir,
 		PrefetchDepth:        depth,
 	}
 	s, err := newScheduler(cfg)
@@ -153,9 +151,10 @@ func TestTieredPrefetchPromotes(t *testing.T) {
 }
 
 // TestPrefetchConfigValidation: the knob requires a prefetch-capable
-// backend and rejects nonsense.
+// backend — the tier NewFileBacked layers with a TierOptions.Dir, not
+// the disk model or the bare segment files — and rejects nonsense.
 func TestPrefetchConfigValidation(t *testing.T) {
-	part, _, _, _ := parityFixture(t)
+	part, dir, _, _ := parityFixture(t)
 	cfg, _ := mkSimParity(t, part, parityCase{policy: PolicyLifeRaft, alpha: 0.5})
 	cfg.PrefetchDepth = 4
 	if _, err := newScheduler(cfg); err == nil {
@@ -164,5 +163,18 @@ func TestPrefetchConfigValidation(t *testing.T) {
 	cfg.PrefetchDepth = -1
 	if _, err := newScheduler(cfg); err == nil {
 		t.Fatal("negative PrefetchDepth accepted")
+	}
+
+	for _, tier := range []TierOptions{{}, {Dir: t.TempDir(), CapacityBytes: 1 << 20}} {
+		cfg, err := NewFileBacked(part, 0.5, false, openParitySet(t, dir), tier)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.PrefetchDepth = 4
+		_, err = cfg.withDefaults()
+		cfg.Store.Close()
+		if tiered := tier.Dir != ""; tiered != (err == nil) {
+			t.Fatalf("tiered=%v: withDefaults = %v", tiered, err)
+		}
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"liferaft/internal/core"
 	"liferaft/internal/geom"
 	"liferaft/internal/htm"
+	"liferaft/internal/segment"
 	"liferaft/internal/server"
 	"liferaft/internal/simclock"
 	"liferaft/internal/trace"
@@ -180,7 +181,7 @@ type NodeConfig struct {
 	// layers the persistent disk cache tier under that directory between
 	// the engine and the segment files: bucket-group regions are cached
 	// as checksummed files served via mmap, and the tier restarts warm.
-	// Ignored without DataDir.
+	// Requires DataDir.
 	CacheDir string
 	// DiskTierBytes bounds the disk tier's cached data (0 with CacheDir
 	// set is an error — an unbounded tier would eat the volume).
@@ -238,35 +239,30 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		clk = simclock.Real{}
 	}
 	var ecfg core.Config
-	switch {
-	case cfg.DataDir != "" && cfg.CacheDir != "":
+	if cfg.DataDir != "" {
 		if _, virtual := clk.(*simclock.Virtual); virtual {
 			return nil, fmt.Errorf("federation: DataDir does real I/O and needs the real clock, not a virtual one")
 		}
-		if cfg.DiskTierBytes <= 0 {
+		if cfg.CacheDir != "" && cfg.DiskTierBytes <= 0 {
 			return nil, fmt.Errorf("federation: CacheDir requires a positive DiskTierBytes bound")
 		}
-		ecfg, err = core.NewFileBackedTiered(part, cfg.Alpha, true, cfg.DataDir, core.TierOptions{
+		if cfg.PrefetchDepth > 0 && cfg.CacheDir == "" {
+			return nil, fmt.Errorf("federation: PrefetchDepth requires CacheDir (the disk tier is the prefetch target)")
+		}
+		set, err := segment.OpenSet(cfg.DataDir)
+		if err != nil {
+			return nil, err
+		}
+		ecfg, err = core.NewFileBacked(part, cfg.Alpha, true, set, core.TierOptions{
 			Dir:              cfg.CacheDir,
 			CapacityBytes:    cfg.DiskTierBytes,
-			PrefetchDepth:    cfg.PrefetchDepth,
 			PrefetchInflight: cfg.PrefetchInflight,
 		})
 		if err != nil {
 			return nil, err
 		}
-	case cfg.DataDir != "":
-		if _, virtual := clk.(*simclock.Virtual); virtual {
-			return nil, fmt.Errorf("federation: DataDir does real I/O and needs the real clock, not a virtual one")
-		}
-		if cfg.PrefetchDepth > 0 {
-			return nil, fmt.Errorf("federation: PrefetchDepth requires CacheDir (the disk tier is the prefetch target)")
-		}
-		ecfg, err = core.NewFileBacked(part, cfg.Alpha, true, cfg.DataDir)
-		if err != nil {
-			return nil, err
-		}
-	default:
+		ecfg.PrefetchDepth = cfg.PrefetchDepth
+	} else {
 		if cfg.CacheDir != "" || cfg.PrefetchDepth > 0 {
 			return nil, fmt.Errorf("federation: CacheDir/PrefetchDepth require a file-backed node (DataDir)")
 		}

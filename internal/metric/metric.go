@@ -23,6 +23,12 @@
 // The package depends only on the standard library and exposes no
 // global state: tests and multi-node processes build as many registries
 // as they need.
+//
+// The package also holds the statistics the evaluation and the serving
+// layer report from samples rather than live handles: Summary and
+// Summarize (throughput, mean, CoV, percentiles), Reservoir (a bounded
+// uniform sample that summarizes a stream), CumulativeShare, and the
+// throughput/response-time trade-off Curve with PickAlpha.
 package metric
 
 import (

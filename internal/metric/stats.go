@@ -1,8 +1,9 @@
-// Package metrics provides the statistics LifeRaft's evaluation reports:
-// query throughput, response-time summaries with coefficient of variance
+package metric
+
+// This file holds the statistics LifeRaft's evaluation reports: query
+// throughput, response-time summaries with coefficient of variance
 // (Figure 7b), percentiles, cumulative workload shares (Figure 6), and
 // normalized throughput/response-time trade-off curves (Figure 4).
-package metrics
 
 import (
 	"fmt"

@@ -95,16 +95,21 @@
 // The paper reproduction serves every bucket from the analytic disk
 // model; the segment store makes the same engine run against real
 // disks. WriteSegments (or skygen -write-segments) materializes a
-// partition into checksummed, versioned segment files; a Store built by
-// NewFileBackedConfig serves buckets from them with pread-based real
-// I/O on the real clock, recording measured read times in the disk
-// statistics. Sharded engines open one segment set per shard, and
-// federation nodes take FedNodeConfig.DataDir (liferaftd -data-dir). A
-// parity test proves the file backend makes bit-identical scheduling
-// decisions to the simulated disk on the golden traces.
+// partition into checksummed, versioned segment files.
+// NewFileBackedConfig takes an opened segment set and builds a Config
+// whose Store serves buckets from it with pread-based real I/O on the
+// real clock, recording measured read times in the disk statistics; the
+// store's backend is the only record of which backend serves the engine
+// (Store.Backend() is nil on the disk model). A non-empty TierOptions.Dir
+// layers the persistent disk cache tier under the engine, and a positive
+// Config.PrefetchDepth then prefetches the buckets the scheduler picks
+// next. Sharded engines open one segment set per shard, and federation
+// nodes take FedNodeConfig.DataDir (liferaftd -data-dir). A parity test
+// proves the file backend makes bit-identical scheduling decisions to
+// the simulated disk on the golden traces.
 //
 //	set, _, err := liferaft.EnsureSegments("/var/lib/liferaft/sdss", part, liferaft.SegmentWriteOptions{})
-//	cfg, err := liferaft.NewFileBackedConfigFrom(part, 0.25, true, set) // takes ownership of set
+//	cfg, err := liferaft.NewFileBackedConfig(part, 0.25, true, set, liferaft.TierOptions{}) // takes ownership of set
 //	defer cfg.Store.Close()
 //	results, stats, _ := liferaft.Run(cfg, jobs, offsets) // stats.Disk measured, not modeled
 //
@@ -123,6 +128,7 @@
 //	go test -race -run 'TestBackendParity' ./internal/core/   # file backend == simulated disk
 //	go test -bench=. -benchtime=1x -run='^$' ./...
 //	go run ./cmd/skybench -overload BENCH_5.json              # overload scenarios, SLO verdicts
+//	go run ./examples/persist                                 # public file-backed constructor, end to end
 //	go run ./cmd/docdrift                                     # docs/OPERATIONS.md covers every flag + metric
 //
 // Keep all of them green locally before sending a change.
@@ -142,7 +148,6 @@ import (
 	"liferaft/internal/geom"
 	"liferaft/internal/htm"
 	"liferaft/internal/metric"
-	"liferaft/internal/metrics"
 	"liferaft/internal/segment"
 	"liferaft/internal/server"
 	"liferaft/internal/shard"
@@ -353,16 +358,9 @@ type (
 	SegmentWriteOptions = segment.WriteOptions
 	// SegmentWriteStats reports what a segment build produced.
 	SegmentWriteStats = segment.WriteStats
-	// BackendKind names a storage backend (BackendSim or BackendFile).
-	BackendKind = core.BackendKind
-)
-
-// Storage backends for Config.Backend.
-const (
-	// BackendSim serves buckets from the analytic disk model (default).
-	BackendSim = core.BackendSim
-	// BackendFile serves buckets from segment files with real I/O.
-	BackendFile = core.BackendFile
+	// TierOptions configures the disk cache tier of a file-backed
+	// engine (NewFileBackedConfig); the zero value builds no tier.
+	TierOptions = core.TierOptions
 )
 
 var (
@@ -374,13 +372,11 @@ var (
 	OpenSegments = segment.OpenSet
 	// NewSegmentBackend adapts an opened segment set to a StoreBackend.
 	NewSegmentBackend = segment.NewBackend
-	// NewFileBackedConfig builds the real-I/O engine stack over a
-	// segment directory (real clock, measured read costs).
+	// NewFileBackedConfig builds the real-I/O engine stack over an
+	// opened segment set (e.g. the one EnsureSegments returned), taking
+	// ownership of it: real clock, measured read costs, and optionally
+	// the disk cache tier.
 	NewFileBackedConfig = core.NewFileBacked
-	// NewFileBackedConfigFrom is NewFileBackedConfig over an
-	// already-opened segment set (e.g. the one EnsureSegments
-	// returned), taking ownership of it.
-	NewFileBackedConfigFrom = core.NewFileBackedFrom
 )
 
 var (
@@ -513,11 +509,11 @@ type (
 	// HTMID is a level-addressed trixel identifier.
 	HTMID = htm.ID
 	// Summary is a response-time summary with CoV and percentiles.
-	Summary = metrics.Summary
+	Summary = metric.Summary
 	// Curve is a throughput/response trade-off curve over α.
-	Curve = metrics.Curve
+	Curve = metric.Curve
 	// TradeoffPoint is one curve point.
-	TradeoffPoint = metrics.TradeoffPoint
+	TradeoffPoint = metric.TradeoffPoint
 )
 
 var (
@@ -537,8 +533,8 @@ var (
 	// CoverCap computes the HTM range cover of a region.
 	CoverCap = htm.CoverCap
 	// Summarize computes response-time statistics.
-	Summarize = metrics.Summarize
+	Summarize = metric.Summarize
 	// CumulativeShare and RankForShare compute workload-skew statistics.
-	CumulativeShare = metrics.CumulativeShare
-	RankForShare    = metrics.RankForShare
+	CumulativeShare = metric.CumulativeShare
+	RankForShare    = metric.RankForShare
 )
