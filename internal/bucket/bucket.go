@@ -152,7 +152,8 @@ func (p *Partition) AppendBucketsForRanges(dst []int, rs []htm.Range) []int {
 
 // Materialize generates the objects of bucket i, sorted by HTM ID. The
 // result is deterministic; it is what a sequential scan of the bucket
-// returns.
+// returns. Over a memoized catalog it is a view of the catalog's slab,
+// not a copy, and must not be modified.
 func (p *Partition) Materialize(i int) []catalog.Object {
 	b := p.buckets[i]
 	return p.cat.Objects(b.Lo, b.Hi)
@@ -310,7 +311,9 @@ func (s *Store) Materializing() bool { return s.materialize }
 
 // ReadBucket performs a full sequential scan of bucket i, charging its
 // disk cost — modeled cost on the simulated backend, measured elapsed
-// time on a real one. The returned objects are nil in cost-only mode.
+// time on a real one. The returned objects are nil in cost-only mode;
+// callers only read them (on the simulated backend they may alias the
+// catalog, see Materialize).
 func (s *Store) ReadBucket(i int) ([]catalog.Object, time.Duration) {
 	if s.backend != nil {
 		start := time.Now()

@@ -7,6 +7,11 @@
 // (catalog seed, trixel), so repeated reads return identical objects —
 // the property the bucket store and cache rely on.
 //
+// A memoized catalog (Config.CacheTrixels) keeps every object in one
+// slab ordered by global ordinal. TrixelObjects and Objects then return
+// views of that slab, not copies: they are shared with every other
+// reader and must not be modified.
+//
 // Objects are globally ordered along the HTM space-filling curve (by
 // level-14 ID, ties broken by object ID), which is the ordering LifeRaft's
 // equal-sized bucket partitioning assumes (paper §3.1).
@@ -18,6 +23,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"liferaft/internal/geom"
 	"liferaft/internal/htm"
@@ -108,11 +114,14 @@ type Config struct {
 	// and materialized. Depth 6 (32k trixels) suits tests; depth 8
 	// (524k trixels) matches the resolution needed for 20,000 buckets.
 	GenLevel int
-	// CacheTrixels memoizes materialized trixels. Generation is
-	// deterministic either way; memoization only trades memory for the
-	// wall-clock cost of regenerating, which experiment harnesses that
-	// replay the same trace thousands of times want. Leave false for
-	// paper-scale catalogs that must stay out of memory.
+	// CacheTrixels memoizes materialized trixels in one slab of N
+	// objects, allocated up front and filled one trixel at a time as
+	// trixels are first read. Generation is deterministic either way;
+	// memoization only trades memory for the wall-clock cost of
+	// regenerating, which experiment harnesses that replay the same
+	// trace thousands of times want, and lets reads return the slab
+	// without copying. Leave false for paper-scale catalogs that must
+	// stay out of memory.
 	CacheTrixels bool
 }
 
@@ -123,8 +132,12 @@ type Catalog struct {
 	counts []int32 // objects per GenLevel trixel
 	cum    []int64 // cum[i] = sum of counts[0:i]; len = trixels+1
 
-	mu   sync.Mutex
-	memo map[uint64][]Object
+	// slab holds every object in ordinal order when memoizing (nil
+	// otherwise); trixel pos occupies slab[cum[pos]:cum[pos+1]] once
+	// filled[pos] is set. Fills take mu; reads check filled only.
+	mu     sync.Mutex
+	slab   []Object
+	filled []atomic.Bool
 
 	// derive is non-nil for catalogs built by NewDerived.
 	derive *derivation
@@ -159,16 +172,23 @@ func New(cfg Config) (*Catalog, error) {
 		total += w
 	}
 	c := &Catalog{cfg: cfg, counts: make([]int32, n), cum: make([]int64, n+1)}
-	if cfg.CacheTrixels {
-		c.memo = make(map[uint64][]Object)
-	}
 	if total > 0 && cfg.N > 0 {
 		apportion(weights, total, cfg.N, c.counts)
 	}
+	c.finish()
+	return c, nil
+}
+
+// finish derives the cumulative counts from counts and, for a memoized
+// catalog, allocates the slab.
+func (c *Catalog) finish() {
 	for i, cnt := range c.counts {
 		c.cum[i+1] = c.cum[i] + int64(cnt)
 	}
-	return c, nil
+	if c.cfg.CacheTrixels {
+		c.slab = make([]Object, c.cfg.N)
+		c.filled = make([]atomic.Bool, len(c.counts))
+	}
 }
 
 // apportion distributes n objects over weights by largest remainder.
@@ -239,31 +259,45 @@ func (c *Catalog) TrixelOf(ord int64) uint64 {
 
 // TrixelObjects materializes the objects of GenLevel trixel pos, sorted by
 // (level-14 HTM ID, object ID). The result is a pure function of the
-// catalog seed and pos.
-//
-//lifevet:allow hotpath-alloc -- cold-path synthesis: objects materialize (and memoize) only on a store miss; the steady-state loop serves from the RAM cache
+// catalog seed and pos. On a memoized catalog it aliases the catalog's
+// slab and must not be modified.
 func (c *Catalog) TrixelObjects(pos uint64) []Object {
-	n := int(c.counts[pos])
-	if n == 0 {
+	if c.counts[pos] == 0 {
 		return nil
 	}
-	if c.memo != nil {
-		c.mu.Lock()
-		if objs, ok := c.memo[pos]; ok {
-			c.mu.Unlock()
-			return objs
-		}
-		c.mu.Unlock()
+	if c.slab == nil {
+		return c.synthTrixel(pos)
 	}
+	c.fill(pos)
+	lo, hi := c.cum[pos], c.cum[pos+1]
+	return c.slab[lo:hi:hi]
+}
+
+// fill makes sure trixel pos of a memoized catalog is in the slab. The
+// objects are generated outside the lock; when two readers race on a
+// cold trixel both generate it and the first copy wins, which is the
+// same content.
+func (c *Catalog) fill(pos uint64) {
+	if c.filled[pos].Load() {
+		return
+	}
+	objs := c.synthTrixel(pos)
+	c.mu.Lock()
+	if !c.filled[pos].Load() {
+		copy(c.slab[c.cum[pos]:c.cum[pos+1]], objs)
+		c.filled[pos].Store(true)
+	}
+	c.mu.Unlock()
+}
+
+// synthTrixel generates trixel pos's objects into a fresh slice.
+//
+//lifevet:allow hotpath-alloc -- cold-path synthesis: objects are generated only on a store miss (and, on a memoized catalog, once per trixel); the steady-state loop serves from the RAM cache
+func (c *Catalog) synthTrixel(pos uint64) []Object {
 	if c.derive != nil {
-		objs := c.deriveTrixel(pos)
-		if c.memo != nil {
-			c.mu.Lock()
-			c.memo[pos] = objs
-			c.mu.Unlock()
-		}
-		return objs
+		return c.deriveTrixel(pos)
 	}
+	n := int(c.counts[pos])
 	base := htm.FromPos(pos, c.cfg.GenLevel)
 	tri := base.Triangle()
 	rng := rand.New(rand.NewSource(c.cfg.Seed ^ int64(pos*0x9E3779B97F4A7C15)))
@@ -282,11 +316,6 @@ func (c *Catalog) TrixelObjects(pos uint64) []Object {
 	start := uint64(c.cum[pos])
 	for i := range objs {
 		objs[i].ID = start + uint64(i)
-	}
-	if c.memo != nil {
-		c.mu.Lock()
-		c.memo[pos] = objs
-		c.mu.Unlock()
 	}
 	return objs
 }
@@ -333,9 +362,6 @@ func NewDerived(base *Catalog, cfg DerivedConfig) (*Catalog, error) {
 		cum:    make([]int64, n+1),
 		derive: &derivation{base: base, cfg: cfg},
 	}
-	if cfg.CacheTrixels {
-		c.memo = make(map[uint64][]Object)
-	}
 	total := 0
 	for pos := uint64(0); pos < n; pos++ {
 		cnt := 0
@@ -348,9 +374,7 @@ func NewDerived(base *Catalog, cfg DerivedConfig) (*Catalog, error) {
 		total += cnt
 	}
 	c.cfg.N = total
-	for i, cnt := range c.counts {
-		c.cum[i+1] = c.cum[i] + int64(cnt)
-	}
+	c.finish()
 	return c, nil
 }
 
@@ -374,7 +398,7 @@ func derivedKeep(seed int64, pos uint64, i int, p float64) bool {
 
 // deriveTrixel materializes a derived trixel from its base.
 //
-//lifevet:allow hotpath-alloc -- cold-path synthesis, reached only through TrixelObjects on a memo miss
+//lifevet:allow hotpath-alloc -- cold-path synthesis, reached only through synthTrixel
 func (c *Catalog) deriveTrixel(pos uint64) []Object {
 	d := c.derive
 	baseObjs := d.base.TrixelObjects(pos)
@@ -432,9 +456,9 @@ func samplePointInTriangle(rng *rand.Rand, tri geom.Triangle) geom.Vec3 {
 
 // Objects materializes the global ordinal range [lo, hi), in curve order.
 // It spans trixel boundaries as needed. Callers that read entire buckets
-// use this: a bucket is exactly such a range.
-//
-//lifevet:allow hotpath-alloc -- bucket materialization is the store-miss path (charged as disk time by the cost model); warm steady-state reads come from the RAM cache
+// use this: a bucket is exactly such a range. On a memoized catalog the
+// result is the slab itself, without a copy: it must not be modified,
+// and its capacity ends at hi, so appending to it copies.
 func (c *Catalog) Objects(lo, hi int64) []Object {
 	if lo < 0 || hi > int64(c.cfg.N) || lo > hi {
 		panic(fmt.Sprintf("catalog: range [%d,%d) out of [0,%d]", lo, hi, c.cfg.N))
@@ -442,6 +466,22 @@ func (c *Catalog) Objects(lo, hi int64) []Object {
 	if lo == hi {
 		return nil
 	}
+	if c.slab != nil {
+		for pos := c.TrixelOf(lo); c.cum[pos] < hi; pos++ {
+			if c.counts[pos] != 0 {
+				c.fill(pos)
+			}
+		}
+		return c.slab[lo:hi:hi]
+	}
+	return c.copyObjects(lo, hi)
+}
+
+// copyObjects assembles [lo, hi) from freshly generated trixels: the
+// Objects path of a catalog without memoization.
+//
+//lifevet:allow hotpath-alloc -- bucket materialization without memoization is the store-miss path (charged as disk time by the cost model); warm steady-state reads come from the RAM cache
+func (c *Catalog) copyObjects(lo, hi int64) []Object {
 	out := make([]Object, 0, hi-lo)
 	pos := c.TrixelOf(lo)
 	for int64(len(out)) < hi-lo {
@@ -461,25 +501,30 @@ func (c *Catalog) Objects(lo, hi int64) []Object {
 	return out
 }
 
-// InCap materializes all objects whose position lies within the cap. It
-// walks the GenLevel trixels covering the cap and filters. This is how a
-// remote archive computes the object list it ships to the next site in a
-// cross-match plan.
-func (c *Catalog) InCap(cp geom.Cap) []Object {
-	cover := htm.CoverCap(cp, c.cfg.GenLevel)
-	var out []Object
-	for _, r := range cover {
+// VisitCap calls visit, in curve order, with every object whose
+// position lies within the cap. It walks the GenLevel trixels covering
+// the cap and filters, so a caller that keeps only some of the objects
+// (the driving archive's subsampling) never holds the rest.
+func (c *Catalog) VisitCap(cp geom.Cap, visit func(Object)) {
+	for _, r := range htm.CoverCap(cp, c.cfg.GenLevel) {
 		for pos := r.Start.Pos(); pos <= r.End.Pos(); pos++ {
 			if c.counts[pos] == 0 {
 				continue
 			}
 			for _, o := range c.TrixelObjects(pos) {
 				if cp.Contains(o.Pos) {
-					out = append(out, o)
+					visit(o)
 				}
 			}
 		}
 	}
+}
+
+// InCap materializes all objects whose position lies within the cap:
+// VisitCap's objects, collected into one slice.
+func (c *Catalog) InCap(cp geom.Cap) []Object {
+	var out []Object
+	c.VisitCap(cp, func(o Object) { out = append(out, o) })
 	return out
 }
 

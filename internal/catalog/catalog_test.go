@@ -1,7 +1,10 @@
 package catalog
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -379,5 +382,94 @@ func TestQuickOrdinalRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// memoPair returns a memoized catalog and an unmemoized twin with the
+// same content (base and derived), both cold.
+func memoPair(t *testing.T, derived bool) (memo, fresh *Catalog) {
+	t.Helper()
+	cfg := Config{Name: "t", N: 20000, Seed: 9, GenLevel: 4}
+	mk := func(cache bool) *Catalog {
+		cfg.CacheTrixels = cache
+		c := mustNew(t, cfg)
+		if !derived {
+			return c
+		}
+		d, err := NewDerived(c, DerivedConfig{Name: "d", Seed: 10, Fraction: 0.6, JitterRad: 1e-5, CacheTrixels: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	return mk(true), mk(false)
+}
+
+// TestObjectsAppendDoesNotAlias: a memoized catalog's Objects result is
+// a view of its slab whose capacity ends at hi, so appending to it
+// copies instead of overwriting the next bucket.
+func TestObjectsAppendDoesNotAlias(t *testing.T) {
+	memo, fresh := memoPair(t, false)
+	a := memo.Objects(100, 600)
+	if cap(a) != len(a) {
+		t.Fatalf("Objects(100,600) has cap %d, want its length %d", cap(a), len(a))
+	}
+	_ = append(a, Object{ID: 1 << 60})
+	_ = append(memo.TrixelObjects(3), Object{ID: 1 << 61})
+	next := memo.Objects(600, 1100)
+	want := fresh.Objects(600, 1100)
+	for i := range want {
+		if next[i] != want[i] {
+			t.Fatalf("object %d of the next range changed to %+v after an append", 600+i, next[i])
+		}
+	}
+}
+
+// TestMemoConcurrentColdReads: concurrent TrixelObjects, Objects and
+// InCap on a cold memoized catalog (base and derived) fill its slab
+// without a race (run under -race) and return the unmemoized content.
+func TestMemoConcurrentColdReads(t *testing.T) {
+	for _, derived := range []bool{false, true} {
+		memo, fresh := memoPair(t, derived)
+		n := int64(memo.Total())
+		cp := geom.NewCap(geom.FromRaDec(40, 10), geom.Radians(30))
+		var wg sync.WaitGroup
+		errs := make(chan string, 12)
+		for g := 0; g < 4; g++ {
+			wg.Add(3)
+			go func() {
+				defer wg.Done()
+				for pos := uint64(0); pos < htm.NumTrixels(memo.GenLevel()); pos++ {
+					if !reflect.DeepEqual(memo.TrixelObjects(pos), fresh.TrixelObjects(pos)) {
+						errs <- fmt.Sprintf("TrixelObjects(%d) differs", pos)
+						return
+					}
+				}
+			}()
+			go func(g int64) {
+				defer wg.Done()
+				for lo := g * 37; lo < n; lo += 700 {
+					hi := min(lo+500, n)
+					if !reflect.DeepEqual(memo.Objects(lo, hi), fresh.Objects(lo, hi)) {
+						errs <- fmt.Sprintf("Objects(%d,%d) differs", lo, hi)
+						return
+					}
+				}
+			}(int64(g))
+			go func() {
+				defer wg.Done()
+				if !reflect.DeepEqual(memo.InCap(cp), fresh.InCap(cp)) {
+					errs <- "InCap differs"
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Errorf("derived=%v: %s", derived, e)
+		}
+		if !reflect.DeepEqual(memo.Objects(0, n), fresh.Objects(0, n)) {
+			t.Errorf("derived=%v: the filled slab differs from fresh synthesis", derived)
+		}
 	}
 }

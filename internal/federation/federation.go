@@ -12,9 +12,11 @@
 package federation
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -324,21 +326,35 @@ func (n *Node) ServingStats() (server.Stats, bool) {
 // Name returns the archive name.
 func (n *Node) Name() string { return n.name }
 
-// Extract implements the driving-archive region scan.
-func (n *Node) Extract(req ExtractRequest) (ExtractResponse, error) {
-	if req.Selectivity <= 0 || req.Selectivity > 1 {
-		return ExtractResponse{}, fmt.Errorf("federation: selectivity %v out of (0,1]", req.Selectivity)
+// checkExtract rejects a region that bounds nothing sensible: a
+// non-finite center, a radius outside (0°, 180°] (NaN walks every
+// trixel and returns nothing, +Inf returns the whole archive), or a
+// selectivity outside (0, 1].
+func checkExtract(req ExtractRequest) error {
+	switch {
+	case math.IsNaN(req.RA) || math.IsInf(req.RA, 0) || math.IsNaN(req.Dec) || math.IsInf(req.Dec, 0):
+		return fmt.Errorf("federation: region center (%v, %v) is not finite", req.RA, req.Dec)
+	case !(req.RadiusDeg > 0 && req.RadiusDeg <= 180):
+		return fmt.Errorf("federation: region radius %v deg out of (0,180]", req.RadiusDeg)
+	case !(req.Selectivity > 0 && req.Selectivity <= 1):
+		return fmt.Errorf("federation: selectivity %v out of (0,1]", req.Selectivity)
 	}
-	if req.RadiusDeg <= 0 {
-		return ExtractResponse{}, fmt.Errorf("federation: non-positive radius")
+	return nil
+}
+
+// Extract implements the driving-archive region scan: the region's
+// objects, subsampled as they are visited.
+func (n *Node) Extract(req ExtractRequest) (ExtractResponse, error) {
+	if err := checkExtract(req); err != nil {
+		return ExtractResponse{}, err
 	}
 	cap := geom.NewCap(geom.FromRaDec(req.RA, req.Dec), geom.Radians(req.RadiusDeg))
 	var out []Object
-	for _, o := range n.cat.InCap(cap) {
+	n.cat.VisitCap(cap, func(o catalog.Object) {
 		if subsample(req.Seed, req.QueryID, o.ID, req.Selectivity) {
 			out = append(out, fromCatalog(o))
 		}
-	}
+	})
 	return ExtractResponse{Objects: out}, nil
 }
 
@@ -429,8 +445,11 @@ func (n *Node) MatchCtx(ctx context.Context, req MatchRequest) (MatchResponse, e
 		return MatchResponse{}, fmt.Errorf("federation: node %s: query %d cancelled", n.name, req.QueryID)
 	}
 	resp := MatchResponse{Elapsed: time.Since(start)}
-	for _, p := range res.Pairs {
-		resp.Pairs = append(resp.Pairs, MatchPair{Local: fromCatalog(p.Local), Remote: fromCatalog(p.Remote)})
+	if len(res.Pairs) > 0 {
+		resp.Pairs = make([]MatchPair, len(res.Pairs))
+		for i, p := range res.Pairs {
+			resp.Pairs[i] = MatchPair{Local: fromCatalog(p.Local), Remote: fromCatalog(p.Remote)}
+		}
 	}
 	if remote {
 		resp.Spans = tr.Wire()
@@ -584,17 +603,13 @@ func (p *Portal) ExecuteCtx(ctx context.Context, q Query) (*ResultSet, error) {
 		HopElapsed: make(map[string]time.Duration),
 		Shipped:    make(map[string]int),
 	}
-	// The frontier holds one entry per live tuple: the object the next
-	// archive must match against (the most recently joined object).
-	rows := make([]Row, len(ext.Objects))
-	frontier := make([]Object, len(ext.Objects))
-	for i, o := range ext.Objects {
-		rows[i] = Row{Objects: map[string]Object{driving: o}}
-		frontier[i] = o
-	}
-
+	// Live tuples are one flat slice with stride k, the number of
+	// archives joined so far: tuple i is tuples[i*k:(i+1)*k] in plan
+	// order, and its last object is the frontier the next archive
+	// matches against.
+	tuples, k := ext.Objects, 1
 	for _, archive := range q.Archives[1:] {
-		if len(rows) == 0 {
+		if len(tuples) == 0 {
 			break
 		}
 		if err := ctx.Err(); err != nil {
@@ -604,16 +619,7 @@ func (p *Portal) ExecuteCtx(ctx context.Context, q Query) (*ResultSet, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Ship the frontier, deduplicated by object ID.
-		uniq := make(map[uint64]Object, len(frontier))
-		for _, o := range frontier {
-			uniq[o.ID] = o
-		}
-		shipped := make([]Object, 0, len(uniq))
-		for _, o := range uniq {
-			shipped = append(shipped, o)
-		}
-		sort.Slice(shipped, func(i, j int) bool { return shipped[i].ID < shipped[j].ID })
+		shipped := frontier(tuples, k)
 		rs.Shipped[archive] = len(shipped)
 
 		mreq := MatchRequest{
@@ -649,28 +655,72 @@ func (p *Portal) ExecuteCtx(ctx context.Context, q Query) (*ResultSet, error) {
 			tr.Stitch(archive, stepStart, resp.Spans)
 		}
 		rs.HopElapsed[archive] = resp.Elapsed
-
-		// Join: each tuple whose frontier object matched extends by the
-		// local counterpart(s); tuples without matches are dropped.
-		byRemote := make(map[uint64][]Object)
-		for _, pr := range resp.Pairs {
-			byRemote[pr.Remote.ID] = append(byRemote[pr.Remote.ID], pr.Local)
-		}
-		var nextRows []Row
-		var nextFrontier []Object
-		for i, row := range rows {
-			for _, local := range byRemote[frontier[i].ID] {
-				nr := Row{Objects: make(map[string]Object, len(row.Objects)+1)}
-				for k, v := range row.Objects {
-					nr.Objects[k] = v
-				}
-				nr.Objects[archive] = local
-				nextRows = append(nextRows, nr)
-				nextFrontier = append(nextFrontier, local)
-			}
-		}
-		rows, frontier = nextRows, nextFrontier
+		tuples = join(tuples, k, resp.Pairs)
+		k++
 	}
-	rs.Rows = rows
+	rs.Rows = rows(tuples, k, q.Archives)
 	return rs, nil
+}
+
+// frontier returns the last object of every tuple (stride k),
+// deduplicated by object ID and sorted by it: the list shipped to the
+// next archive. Of several frontier objects with one ID, the last in
+// tuple order is kept.
+func frontier(tuples []Object, k int) []Object {
+	out := make([]Object, 0, len(tuples)/k)
+	for i := k - 1; i < len(tuples); i += k {
+		out = append(out, tuples[i])
+	}
+	slices.SortStableFunc(out, func(a, b Object) int { return cmp.Compare(a.ID, b.ID) })
+	w := 0
+	for i := range out {
+		if w > 0 && out[w-1].ID == out[i].ID {
+			out[w-1] = out[i]
+			continue
+		}
+		out[w] = out[i]
+		w++
+	}
+	return out[:w]
+}
+
+// join extends each tuple (stride k) whose frontier object matched by
+// its local counterparts, in the order the archive returned them, and
+// drops tuples without a match. The result has stride k+1 and keeps
+// tuple order; it is nil when no tuple survives. pairs is sorted in
+// place.
+func join(tuples []Object, k int, pairs []MatchPair) []Object {
+	slices.SortStableFunc(pairs, func(a, b MatchPair) int { return cmp.Compare(a.Remote.ID, b.Remote.ID) })
+	var next []Object
+	for i := 0; i < len(tuples); i += k {
+		id := tuples[i+k-1].ID
+		j, _ := slices.BinarySearchFunc(pairs, id, func(p MatchPair, id uint64) int { return cmp.Compare(p.Remote.ID, id) })
+		for ; j < len(pairs) && pairs[j].Remote.ID == id; j++ {
+			if next == nil {
+				next = make([]Object, 0, (k+1)*len(pairs))
+			}
+			next = append(next, tuples[i:i+k]...)
+			next = append(next, pairs[j].Local)
+		}
+	}
+	return next
+}
+
+// rows builds the result rows from the surviving tuples (stride k),
+// keyed by the first k plan archives; a later archive of the same name
+// overwrites an earlier one. A plan whose extraction found nothing
+// returns an empty slice, one that lost its last tuple at a hop nil.
+func rows(tuples []Object, k int, archives []string) []Row {
+	if len(tuples) == 0 && k > 1 {
+		return nil
+	}
+	out := make([]Row, len(tuples)/k)
+	for i := range out {
+		m := make(map[string]Object, k)
+		for j, o := range tuples[i*k : (i+1)*k] {
+			m[archives[j]] = o
+		}
+		out[i] = Row{Objects: m}
+	}
+	return out
 }

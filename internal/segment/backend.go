@@ -30,7 +30,7 @@ func (b *FileBackend) Set() *Set { return b.set }
 // the bucket's full data region.
 func (b *FileBackend) ReadBucket(i int) ([]catalog.Object, int64, error) {
 	if !b.materialize {
-		_, n, err := b.set.ReadBucketRaw(i)
+		n, err := b.set.ScanBucket(i)
 		return nil, n, err
 	}
 	return b.set.ReadBucket(i)

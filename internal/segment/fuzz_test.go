@@ -115,7 +115,7 @@ func FuzzSegmentIndex(f *testing.F) {
 			bucketSeg: make([]int, n),
 		}
 		for i := 0; i < n; i++ {
-			raw, _, err := s.ReadBucketRaw(i)
+			raw, _, err := s.readRegion(i, nil)
 			if err == nil {
 				if sum := crc32.Checksum(raw, castagnoli); sum != sf.entries[i].crc {
 					t.Fatalf("bucket %d served bytes whose checksum %#x differs from its index entry %#x", i, sum, sf.entries[i].crc)

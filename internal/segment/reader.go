@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"liferaft/internal/bucket"
 	"liferaft/internal/catalog"
@@ -14,6 +15,8 @@ import (
 // Set is an opened segment directory: the manifest plus one pread
 // handle per segment file. Reads are safe for concurrent use (ReadAt
 // carries no seek state); Close is not safe concurrently with reads.
+// Scans and probe reads borrow one read buffer that the Set keeps; a
+// read that finds it lent out uses a buffer of its own.
 type Set struct {
 	dir  string
 	man  manifest
@@ -22,6 +25,13 @@ type Set struct {
 	// grouped contiguously, so this is i / BucketsPerSegment, kept as a
 	// table anyway so the lookup cannot drift from the files.
 	bucketSeg []int
+
+	// bufMu guards buf, the reused read buffer (nil while a read has
+	// it): it grows to the largest bucket region read and never escapes
+	// a read. The lock is held only to lend and return it, never across
+	// I/O.
+	bufMu sync.Mutex
+	buf   []byte
 }
 
 // segFile is one opened segment file with its decoded index.
@@ -239,46 +249,82 @@ func (s *Set) entry(i int) (*segFile, indexEntry, error) {
 	return sf, sf.entries[i-int(sf.hdr.firstBucket)], nil
 }
 
-// ReadBucketRaw preads bucket i's full data region and verifies its
-// checksum, returning the raw records and the number of data bytes
-// read. This is the real sequential bucket scan.
-func (s *Set) ReadBucketRaw(i int) ([]byte, int64, error) {
+// readRegion preads bucket i's full data region into dst (grown when
+// short) and verifies its checksum, returning the bytes and the number
+// of data bytes read. The bytes come back on a failed read too, so a
+// borrowed buffer can be returned; they are only valid without an
+// error.
+func (s *Set) readRegion(i int, dst []byte) ([]byte, int64, error) {
 	sf, e, err := s.entry(i)
 	if err != nil {
-		return nil, 0, err
+		return dst, 0, err
 	}
-	buf := make([]byte, e.length)
+	buf := grow(dst, int64(e.length))
 	if len(buf) == 0 {
 		return buf, 0, nil
 	}
 	if _, err := sf.f.ReadAt(buf, int64(e.offset)); err != nil {
-		return nil, 0, fmt.Errorf("segment: bucket %d pread: %w", i, err)
+		return buf, 0, fmt.Errorf("segment: bucket %d pread: %w", i, err)
 	}
 	if sum := crc32.Checksum(buf, castagnoli); sum != e.crc {
-		return nil, 0, fmt.Errorf("segment: bucket %d data checksum mismatch (corrupt store)", i)
+		return buf, 0, fmt.Errorf("segment: bucket %d data checksum mismatch (corrupt store)", i)
 	}
 	return buf, int64(e.length), nil
 }
 
-// ReadBucket is ReadBucketRaw plus decoding: the bucket's objects in
-// HTM-curve order, bit-identical to what the catalog materializes.
+// grow returns buf resized to n bytes, reallocating only when its
+// capacity is short.
+func grow(buf []byte, n int64) []byte {
+	if int64(cap(buf)) < n {
+		return make([]byte, n)
+	}
+	return buf[:n]
+}
+
+// borrowBuf lends out the Set's read buffer (nil when another read has
+// it); returnBuf gives a buffer back, keeping the larger of the two.
+func (s *Set) borrowBuf() []byte {
+	s.bufMu.Lock()
+	buf := s.buf
+	s.buf = nil
+	s.bufMu.Unlock()
+	return buf
+}
+
+func (s *Set) returnBuf(buf []byte) {
+	s.bufMu.Lock()
+	if cap(buf) > cap(s.buf) {
+		s.buf = buf
+	}
+	s.bufMu.Unlock()
+}
+
+// ScanBucket is the real sequential bucket scan without decoding: it
+// preads bucket i's full data region into the Set's read buffer,
+// verifies its checksum, and returns the number of data bytes read.
+func (s *Set) ScanBucket(i int) (int64, error) {
+	buf, n, err := s.readRegion(i, s.borrowBuf())
+	s.returnBuf(buf)
+	return n, err
+}
+
+// ReadBucket is ScanBucket plus decoding: the bucket's objects in
+// HTM-curve order, bit-identical to what the catalog materializes. The
+// returned slice is freshly allocated and belongs to the caller; the
+// raw bytes stay in the Set's read buffer.
 func (s *Set) ReadBucket(i int) ([]catalog.Object, int64, error) {
-	buf, n, err := s.ReadBucketRaw(i)
+	buf, n, err := s.readRegion(i, s.borrowBuf())
+	defer s.returnBuf(buf)
 	if err != nil {
 		return nil, 0, err
 	}
-	stride := int(s.man.ObjectBytes)
-	objs := make([]catalog.Object, len(buf)/stride)
-	for j := range objs {
-		objs[j] = decodeObject(buf[j*stride:])
-	}
-	return objs, n, nil
+	return decodeRecords(buf, int(s.man.ObjectBytes)), n, nil
 }
 
 // ReadPages preads up to n BlockSize pages from the head of bucket i's
-// data region — the I/O an index probe pass issues — and returns the
-// bytes actually read. Partial reads skip the checksum (it covers the
-// full region); scans verify it.
+// data region — the I/O an index probe pass issues — into the Set's
+// read buffer and returns the bytes actually read. Partial reads skip
+// the checksum (it covers the full region); scans verify it.
 func (s *Set) ReadPages(i, n int) (int64, error) {
 	sf, e, err := s.entry(i)
 	if err != nil {
@@ -291,7 +337,8 @@ func (s *Set) ReadPages(i, n int) (int64, error) {
 	if want <= 0 {
 		return 0, nil
 	}
-	buf := make([]byte, want)
+	buf := grow(s.borrowBuf(), want)
+	defer s.returnBuf(buf)
 	if _, err := sf.f.ReadAt(buf, int64(e.offset)); err != nil {
 		return 0, fmt.Errorf("segment: bucket %d probe pread: %w", i, err)
 	}

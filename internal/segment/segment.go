@@ -184,6 +184,16 @@ func encodeObject(dst []byte, o catalog.Object) {
 	le.PutUint64(dst[40:], floatBits(o.Mag))
 }
 
+// decodeRecords decodes the fixed-stride records of one bucket's data
+// region into a fresh slice.
+func decodeRecords(region []byte, stride int) []catalog.Object {
+	objs := make([]catalog.Object, len(region)/stride)
+	for j := range objs {
+		objs[j] = decodeObject(region[j*stride:])
+	}
+	return objs
+}
+
 // decodeObject is the exact inverse of encodeObject.
 func decodeObject(src []byte) catalog.Object {
 	le := binary.LittleEndian

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 
 	"liferaft/internal/bucket"
@@ -303,4 +304,43 @@ func TestSegmentValidateRejectsForeignProvenance(t *testing.T) {
 	if err := set.Validate(partOther); err == nil || !strings.Contains(err.Error(), "seed") {
 		t.Errorf("Validate over a different seed = %v, want seed-mismatch error", err)
 	}
+}
+
+// TestSetConcurrentReads: scans, decoding reads and probe reads of one
+// Set from several goroutines at once share its read buffer safely (run
+// under -race): every decoded bucket equals the catalog's, and one
+// goroutine's read never shows up in another's objects.
+func TestSetConcurrentReads(t *testing.T) {
+	part := fixture(t)
+	dir, _ := writeFixture(t, part, 8)
+	set, err := OpenSet(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < 3; r++ {
+				for i := g % 3; i < part.NumBuckets(); i++ {
+					objs, _, err := set.ReadBucket(i)
+					if err != nil || !reflect.DeepEqual(objs, part.Materialize(i)) {
+						t.Errorf("goroutine %d: bucket %d diverges (err %v)", g, i, err)
+						return
+					}
+					if n, err := set.ScanBucket(part.NumBuckets() - 1 - i); err != nil || n != part.BucketBytes(part.NumBuckets()-1-i) {
+						t.Errorf("goroutine %d: scan of bucket %d = %d, %v", g, part.NumBuckets()-1-i, n, err)
+						return
+					}
+					if _, err := set.ReadPages(i, 1); err != nil {
+						t.Errorf("goroutine %d: probe of bucket %d: %v", g, i, err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

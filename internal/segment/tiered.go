@@ -102,17 +102,6 @@ func (b *TieredBackend) touchPages(region []byte) int64 {
 	return int64(len(region))
 }
 
-// decodeRegion decodes the fixed-stride records of one bucket's slice
-// of a group region.
-func (b *TieredBackend) decodeRegion(region []byte) []catalog.Object {
-	stride := int(b.set.man.ObjectBytes)
-	objs := make([]catalog.Object, len(region)/stride)
-	for j := range objs {
-		objs[j] = decodeObject(region[j*stride:])
-	}
-	return objs
-}
-
 // ReadBucket implements bucket.Backend: a tier hit serves the bucket
 // from the mapped group region (decoded in place when materializing,
 // page-touched when cost-only); a miss reads the segment file exactly
@@ -128,7 +117,7 @@ func (b *TieredBackend) ReadBucket(i int) ([]catalog.Object, int64, error) {
 		region := h.Bytes()[lo:hi]
 		var objs []catalog.Object
 		if b.materialize {
-			objs = b.decodeRegion(region)
+			objs = decodeRecords(region, int(b.set.man.ObjectBytes))
 		} else {
 			b.touchPages(region)
 		}
@@ -138,7 +127,7 @@ func (b *TieredBackend) ReadBucket(i int) ([]catalog.Object, int64, error) {
 	b.misses.Add(1)
 	b.promote(i, false)
 	if !b.materialize {
-		_, n, err := b.set.ReadBucketRaw(i)
+		n, err := b.set.ScanBucket(i)
 		return nil, n, err
 	}
 	return b.set.ReadBucket(i)
@@ -166,7 +155,7 @@ func (b *TieredBackend) Probe(i, n int) ([]catalog.Object, int64, error) {
 			h.Release()
 			return nil, want, nil
 		}
-		objs := b.decodeRegion(region)
+		objs := decodeRecords(region, int(b.set.man.ObjectBytes))
 		h.Release()
 		return objs, hi - lo, nil
 	}

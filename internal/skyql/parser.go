@@ -348,6 +348,9 @@ func (p *parser) validate(q *Query) error {
 	if q.RegionRadiusDeg <= 0 {
 		return fmt.Errorf("skyql: WHERE must contain REGION(CIRCLE, ra, dec, radius)")
 	}
+	if q.RegionRadiusDeg > 180 {
+		return fmt.Errorf("skyql: REGION radius %v degrees is above 180", q.RegionRadiusDeg)
+	}
 	if q.Sample <= 0 || q.Sample > 1 {
 		return fmt.Errorf("skyql: SAMPLE must be in (0, 1]")
 	}

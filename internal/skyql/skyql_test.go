@@ -103,6 +103,7 @@ func TestParseErrors(t *testing.T) {
 		{"no xmatch", "SELECT * FROM a x, b y WHERE REGION(CIRCLE,1,1,1)", "XMATCH"},
 		{"no region", "SELECT * FROM a x, b y WHERE XMATCH(x, y) < 1", "REGION"},
 		{"bad shape", "SELECT * FROM a x, b y WHERE XMATCH(x,y) < 1 AND REGION(BOX,1,1,1)", "unsupported region shape"},
+		{"region radius above 180", "SELECT * FROM a x, b y WHERE XMATCH(x,y) < 1 AND REGION(CIRCLE,1,1,180.5)", "above 180"},
 		{"zero radius", "SELECT * FROM a x, b y WHERE XMATCH(x,y) < 0 AND REGION(CIRCLE,1,1,1)", "radius must be positive"},
 		{"unknown alias", "SELECT * FROM a x, b y WHERE XMATCH(x, z) < 1 AND REGION(CIRCLE,1,1,1)", "unknown alias"},
 		{"dup alias", "SELECT * FROM a x, b x WHERE XMATCH(x, x) < 1 AND REGION(CIRCLE,1,1,1)", "duplicate alias"},
